@@ -2,8 +2,8 @@
 // against ColumnStats kill candidates before EM evaluation. Over the
 // Table 6 dataset (embedded articles + scaled synthetic corpus) this bench
 // measures pruning on two rungs of the Table 6 strategy ladder, running
-// the full check twice per rung — probe_pruning on and off, all checkers
-// adopting the same fragment catalog so the candidate spaces are
+// the full check twice per rung — model.probe_pruning on and off, all
+// checkers adopting the same fragment catalog so the candidate spaces are
 // identical:
 //
 //   naive rung:        per-candidate evaluation, the Fig. 8 cost model the
@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
     base.model.max_eval_per_claim = 800;
     base.model.lucene_hits = 30;
     core::CheckOptions on = base;
-    on.probe_pruning = true;
+    on.model.probe_pruning = true;
     auto pruned = core::AggChecker::Create(&c.database, on);
     if (!pruned.ok()) {
       std::fprintf(stderr, "create %s: %s\n", c.name.c_str(),
@@ -108,12 +108,12 @@ int main(int argc, char** argv) {
     }
     base.prebuilt_catalog = pruned->shared_catalog();
     core::CheckOptions off = base;
-    off.probe_pruning = false;
+    off.model.probe_pruning = false;
     core::CheckOptions non = base;
-    non.probe_pruning = true;
+    non.model.probe_pruning = true;
     non.strategy = db::EvalStrategy::kNaive;
     core::CheckOptions noff = non;
-    noff.probe_pruning = false;
+    noff.model.probe_pruning = false;
     auto unpruned = core::AggChecker::Create(&c.database, off);
     auto naive_pruned = core::AggChecker::Create(&c.database, non);
     auto naive_unpruned = core::AggChecker::Create(&c.database, noff);

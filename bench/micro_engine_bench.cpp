@@ -211,28 +211,10 @@ std::vector<db::SimpleAggregateQuery> MakePlanBatch(int64_t n) {
   return batch;
 }
 
-void BM_PlanPhaseString(benchmark::State& state) {
-  const auto& db = PlanBenchDatabase();
-  auto batch = MakePlanBatch(state.range(0));
-  db::EvalEngine engine(&db, db::EvalStrategy::kMergedCached);
-  engine.SetQueryFingerprints(false);
-  (void)engine.EvaluateBatch(batch);  // warm the result cache
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.EvaluateBatch(batch));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_PlanPhaseString)
-    ->Arg(1000)
-    ->Arg(10000)
-    ->Arg(50000)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_PlanPhaseFingerprint(benchmark::State& state) {
   const auto& db = PlanBenchDatabase();
   auto batch = MakePlanBatch(state.range(0));
   db::EvalEngine engine(&db, db::EvalStrategy::kMergedCached);
-  engine.SetQueryFingerprints(true);
   std::vector<db::QueryInterner::Id> ids;
   ids.reserve(batch.size());
   for (const auto& q : batch) {

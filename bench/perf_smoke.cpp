@@ -11,10 +11,10 @@
 //     1-thread (the morsel scheduler must not regress the scaling curve —
 //     skipped on single-core machines where there is nothing to scale to).
 //  3. Plan reuse: a multi-iteration EM run must serve repeated cube groups
-//     from the fingerprint plan cache (plan_cache_hits > 0), a second Check
-//     on the same instance must build zero new plans (each distinct plan is
-//     built at most once per engine lifetime), and the fingerprint path
-//     must report bit-identically to the string-keyed reference path.
+//     from the plan cache (plan_cache_hits > 0), a second Check on the same
+//     instance must build zero new plans (each distinct plan is built at
+//     most once per engine lifetime), and the run must report
+//     bit-identically to a scalar-cube-oracle reference run.
 
 #include <chrono>
 #include <cstdio>
@@ -410,21 +410,23 @@ int RunPlanReuseGate() {
     return 1;
   }
 
-  // The fingerprint path is an optimization, never a behavior change.
+  // Plan reuse is an optimization, never a behavior change: the scalar
+  // cube oracle (the reference the recovery ladder falls back to) must
+  // produce the same verdicts.
   core::CheckOptions reference = options;
-  reference.query_fingerprints = false;
+  reference.cube_exec = db::CubeExecMode::kScalarOracle;
   auto ref_checker = core::AggChecker::Create(&database, reference);
+  if (!ref_checker.ok()) {
+    std::fprintf(stderr, "perf_smoke: FAIL — reference checker creation "
+                         "failed\n");
+    return 1;
+  }
   auto ref_report = ref_checker->Check(test_case.document);
   if (!ref_report.ok() ||
       !VerdictsBitIdentical(*first, *ref_report)) {
     std::fprintf(stderr,
-                 "perf_smoke: FAIL — fingerprint and string paths "
+                 "perf_smoke: FAIL — vectorized and scalar-oracle runs "
                  "disagree on verdicts\n");
-    return 1;
-  }
-  if (ref_report->eval_stats.plans_built != 0) {
-    std::fprintf(stderr,
-                 "perf_smoke: FAIL — string path touched the plan cache\n");
     return 1;
   }
   return 0;

@@ -36,22 +36,6 @@ struct CheckOptions {
   /// the pre-cache reference behavior kept for differential tests and the
   /// cache-off bench columns. Reports are bit-identical either way.
   bool relation_cache = true;
-  /// Ship candidates to the engine as interned query fingerprints and plan
-  /// merged cubes against integer-keyed caches that survive EM iterations
-  /// (DESIGN.md §12). false = the string-keyed reference path, which
-  /// re-plans every batch from rebuilt SQL strings — kept for differential
-  /// tests and benches. Reports are bit-identical either way.
-  bool query_fingerprints = true;
-  /// Verification-aware candidate pruning (DESIGN.md §17): probe candidates
-  /// against column statistics and dictionaries before evaluation and skip
-  /// the kernels of cube slices whose every reader is already decided.
-  /// Needs the fingerprint path and an optimized strategy; silently off
-  /// otherwise. Reports are bit-identical with pruning on or off.
-  bool probe_pruning = true;
-  /// Differential mode: probe everything but evaluate everything too,
-  /// counting probe/synthesis disagreements in CheckReport::probe_stats
-  /// (probe_conflicts must stay zero).
-  bool probe_verify = false;
   fragments::CatalogOptions catalog;
   /// Pre-built fragment catalog — the snapshot load path (DESIGN.md §15):
   /// when set, Create adopts it instead of building one from the database,
@@ -71,8 +55,8 @@ struct CheckOptions {
   GovernorLimits governor;
   /// Self-healing layer (DESIGN.md §13), ON by default: transient faults
   /// retry with capped backoff, persistent faults in optimized paths
-  /// descend the fallback ladder to bit-identical reference twins, and
-  /// claims failing on every rung are quarantined as partial verdicts
+  /// re-run on the bit-identical reference configuration, and claims
+  /// failing there too are quarantined as partial verdicts
   /// instead of aborting the run. Set `recovery.enabled = false` to get the
   /// fail-fast behavior differential tests rely on.
   RecoveryOptions recovery;
@@ -137,8 +121,9 @@ struct CheckReport {
   size_t claims_spliced = 0;
   size_t claims_rechecked = 0;
   /// Verification-aware probe counters (DESIGN.md §17): candidates probed /
-  /// pruned (by family), top-k results backfilled, and — in probe_verify
-  /// runs — conflicts between synthesized and real outcomes (must be 0).
+  /// pruned (by family), top-k results backfilled, and — in
+  /// ModelOptions::probe_verify runs — conflicts between synthesized and
+  /// real outcomes (must be 0).
   model::ProbeStats probe_stats;
 
   size_t NumFlagged() const {

@@ -32,7 +32,7 @@ struct CorpusRunResult {
   double execute_seconds = 0;
   double fold_seconds = 0;
   double answer_seconds = 0;
-  /// Plan-cache counters (fingerprint path; zero on the string path).
+  /// Plan-cache counters (merged strategies; zero under naive).
   size_t plans_built = 0;
   size_t plan_cache_hits = 0;
   size_t num_partial = 0;      ///< claims cut short by the resource governor
@@ -47,7 +47,7 @@ struct CorpusRunResult {
   size_t claims_quarantined = 0;   ///< claims degraded to quarantined partials
   size_t watchdog_flags = 0;       ///< stalled-job flags (wall-clock based)
   /// Verification-aware probe counters summed over cases (DESIGN.md §17;
-  /// all zero with probe_pruning off or on the string/naive paths).
+  /// all zero with probe_pruning off).
   model::ProbeStats probe_stats;
   /// Cube slices whose aggregation kernels were skipped because every
   /// reading query was probe-decided (EvalStats).

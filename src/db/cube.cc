@@ -343,8 +343,8 @@ Status CubeExecution::RunScalarOracle() {
 /// thread count or morsel interleaving.
 Status CubeExecution::ScanVectorizedBlock(size_t block) {
   // Vectorized-path-only fault point (the scalar oracle never passes
-  // through here): chaos tests arm it to prove the fallback ladder's first
-  // rung heals a poisoned vectorized kernel bit-identically.
+  // through here): chaos tests arm it to prove the fallback ladder's
+  // reference rung heals a poisoned vectorized kernel bit-identically.
   AGG_FAULT_POINT("cube.scan.vectorized");
   const size_t num_rows = relation_->num_rows();
   const size_t d = dim_bindings_.size();

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <map>
 #include <set>
 
 #include "db/relation_cache.h"
-#include "util/fault_injection.h"
 #include "util/strings.h"
 #include "util/timer.h"
 
@@ -56,36 +56,11 @@ std::string EvalEngine::RelationKey(const SimpleAggregateQuery& query) {
   return RelationCache::KeyOf(query.ReferencedTables());
 }
 
-std::vector<std::optional<double>> EvalEngine::DispatchQueries(
-    const std::vector<SimpleAggregateQuery>& queries) {
-  switch (strategy_) {
-    case EvalStrategy::kNaive:
-      return EvaluateNaive(queries);
-    case EvalStrategy::kMerged:
-    case EvalStrategy::kMergedCached: {
-      const bool use_cache = strategy_ == EvalStrategy::kMergedCached;
-      if (query_fingerprints_) {
-        std::vector<QueryInterner::Id> ids;
-        ids.reserve(queries.size());
-        for (const auto& q : queries) ids.push_back(interner_.InternQuery(q));
-        return EvaluateMergedIds(ids, use_cache);
-      }
-      return EvaluateMerged(queries, use_cache);
-    }
-  }
-  return {};
-}
-
 std::vector<std::optional<double>> EvalEngine::DispatchIds(
     const std::vector<QueryInterner::Id>& ids) {
   switch (strategy_) {
-    case EvalStrategy::kNaive: {
-      // Naive has no plan to share; materialize and scan per query.
-      std::vector<SimpleAggregateQuery> queries;
-      queries.reserve(ids.size());
-      for (QueryInterner::Id id : ids) queries.push_back(interner_.Materialize(id));
-      return EvaluateNaive(queries);
-    }
+    case EvalStrategy::kNaive:
+      return EvaluateNaive(ids);
     case EvalStrategy::kMerged:
       return EvaluateMergedIds(ids, /*use_cache=*/false);
     case EvalStrategy::kMergedCached:
@@ -153,17 +128,8 @@ void EvalEngine::RefreshDataVersions() {
     return stale;
   };
 
-  for (auto it = cache_.begin(); it != cache_.end();) {
-    if (relation_stale(it->second.relation_key)) {
-      it = cache_.erase(it);
-      ++stats_.cache_invalidations;
-    } else {
-      ++it;
-    }
-  }
-  // Fingerprint-path entries carry relation identity in their SliceKey (the
-  // entry's relation_key field is unused there); resolve it through the
-  // interner's canonical relation key.
+  // Entries carry relation identity in their SliceKey; resolve it through
+  // the interner's canonical relation key.
   bool fp_evicted = false;
   for (auto it = fp_cache_.begin(); it != fp_cache_.end();) {
     if (relation_stale(interner_.relation_key(it->first.relation))) {
@@ -224,22 +190,10 @@ Status EvalEngine::FillInSlice(const CacheEntry& entry) {
 
 std::vector<std::optional<double>> EvalEngine::EvaluateBatch(
     const std::vector<SimpleAggregateQuery>& queries) {
-  Timer timer;
-  batch_failed_.clear();
-  batch_decided_.clear();
-  RefreshDataVersions();
-  auto results = DispatchQueries(queries);
-  RecoverBatch(
-      [&](const std::vector<size_t>& subset) {
-        std::vector<SimpleAggregateQuery> sub;
-        sub.reserve(subset.size());
-        for (size_t i : subset) sub.push_back(queries[i]);
-        return DispatchQueries(sub);
-      },
-      results);
-  stats_.queries_answered += queries.size();
-  stats_.query_seconds += timer.ElapsedSeconds();
-  return results;
+  std::vector<QueryInterner::Id> ids;
+  ids.reserve(queries.size());
+  for (const auto& q : queries) ids.push_back(interner_.InternQuery(q));
+  return EvaluateInterned(ids);
 }
 
 std::vector<std::optional<double>> EvalEngine::EvaluateInternedImpl(
@@ -248,16 +202,7 @@ std::vector<std::optional<double>> EvalEngine::EvaluateInternedImpl(
   batch_failed_.clear();
   RefreshDataVersions();
   auto results = DispatchIds(ids);
-  RecoverBatch(
-      [&](const std::vector<size_t>& subset) {
-        // Re-runs materialize and go through the query-keyed dispatch so
-        // every ladder rung (including string-keyed plans) is reachable.
-        std::vector<SimpleAggregateQuery> sub;
-        sub.reserve(subset.size());
-        for (size_t i : subset) sub.push_back(interner_.Materialize(ids[i]));
-        return DispatchQueries(sub);
-      },
-      results);
+  RecoverBatch(ids, results);
   stats_.queries_answered += ids.size();
   stats_.query_seconds += timer.ElapsedSeconds();
   return results;
@@ -272,15 +217,14 @@ std::vector<std::optional<double>> EvalEngine::EvaluateInterned(
 std::vector<std::optional<double>> EvalEngine::EvaluateInterned(
     const std::vector<QueryInterner::Id>& ids,
     const std::vector<uint8_t>& decided) {
-  // Only the fingerprint merged path honors probe flags; anything else
-  // evaluates everything for real (the probe degrades to "don't prune").
-  if (strategy_ != EvalStrategy::kNaive && decided.size() == ids.size()) {
+  // Every strategy consumes the flags (a mis-sized vector degrades to
+  // "don't prune"). Settled flags start all-clear so the caller never sees
+  // flags from an earlier batch.
+  decided_settled_.assign(ids.size(), 0);
+  if (decided.size() == ids.size()) {
     batch_decided_ = decided;
   } else {
     batch_decided_.clear();
-    // Everything evaluates for real; present the caller a coherent
-    // all-unsettled view instead of flags from an earlier batch.
-    decided_settled_.assign(ids.size(), 0);
   }
   return EvaluateInternedImpl(ids);
 }
@@ -292,18 +236,6 @@ std::vector<std::optional<double>> EvalEngine::EvaluateProbeBackfill(
   governor_ = nullptr;
   publish_read_only_ = true;
   auto results = EvaluateInternedImpl(ids);
-  publish_read_only_ = false;
-  governor_ = saved_governor;
-  return results;
-}
-
-std::vector<std::optional<double>> EvalEngine::EvaluateProbeBackfill(
-    const std::vector<SimpleAggregateQuery>& queries) {
-  batch_decided_.clear();
-  const ResourceGovernor* saved_governor = governor_;
-  governor_ = nullptr;
-  publish_read_only_ = true;
-  auto results = EvaluateBatch(queries);
   publish_read_only_ = false;
   governor_ = saved_governor;
   return results;
@@ -322,9 +254,30 @@ void EvalEngine::RunIndexed(size_t n, const std::function<void(size_t)>& body) {
 }
 
 std::vector<std::optional<double>> EvalEngine::EvaluateNaive(
-    const std::vector<SimpleAggregateQuery>& queries) {
-  const size_t n = queries.size();
+    const std::vector<QueryInterner::Id>& ids) {
+  const size_t n = ids.size();
   std::vector<std::optional<double>> results(n);
+  // Probe-decided flags, consumed by move as in EvaluateMergedIds. Skipping
+  // a decided query saves its whole scan, which is work-proportional
+  // charging: it would move a budget's exhaustion point, so it happens only
+  // when no budget is in play. Under any budget decided queries evaluate
+  // for real and stay unsettled.
+  std::vector<uint8_t> decided = std::move(batch_decided_);
+  batch_decided_.clear();
+  const bool skip_decided =
+      decided.size() == n &&
+      (governor_ == nullptr || governor_->limits().unlimited());
+
+  // Materialize serially (the interner caches lazily and is not
+  // thread-safe; its references are stable). Skipped queries stay null.
+  std::vector<const SimpleAggregateQuery*> queries(n, nullptr);
+  for (size_t i = 0; i < n; ++i) {
+    if (skip_decided && decided[i] != 0) {
+      decided_settled_[i] = 1;
+      continue;
+    }
+    queries[i] = &interner_.Materialize(ids[i]);
+  }
 
   // Execute phase: each query scans independently into its own slot; with
   // one thread this runs inline in index order (today's exact path).
@@ -338,11 +291,12 @@ std::vector<std::optional<double>> EvalEngine::EvaluateNaive(
   Timer execute_timer;
   RunIndexed(n, [&](size_t i) {
     Slot& slot = slots[i];
+    if (queries[i] == nullptr) return;  // settled by the probe
     if (governor_ != nullptr && governor_->exhausted()) {
       slot.skipped = true;  // budget spent before this query started
       return;
     }
-    auto r = executor_.Execute(queries[i], &slot.scan, governor_,
+    auto r = executor_.Execute(*queries[i], &slot.scan, governor_,
                                relation_cache_);
     if (r.ok()) {
       slot.value = *r;
@@ -403,23 +357,11 @@ void EvalEngine::NoteQueryFailure(size_t index, const Status& status) {
 }
 
 const char* EvalEngine::RecoveryRungName(uint32_t rung) {
-  switch (rung) {
-    case 0:
-      return "primary";
-    case 1:
-      return "scalar-cube";
-    case 2:
-      return "string-plans";
-    case 3:
-      return "fresh-join";
-  }
-  return "?";
+  return rung == 0 ? "primary" : "reference";
 }
 
-void EvalEngine::RecoverBatch(
-    const std::function<std::vector<std::optional<double>>(
-        const std::vector<size_t>&)>& rerun,
-    std::vector<std::optional<double>>& results) {
+void EvalEngine::RecoverBatch(const std::vector<QueryInterner::Id>& ids,
+                              std::vector<std::optional<double>>& results) {
   if (batch_failed_.empty()) return;
   std::vector<std::pair<size_t, Status>> failed = std::move(batch_failed_);
   batch_failed_.clear();
@@ -439,31 +381,17 @@ void EvalEngine::RecoverBatch(
   // it, a quarantined one re-raises it after the ladder is exhausted.
   const Status primary_error = ConsumeHardError();
 
-  // The fallback ladder, restricted to the downgrades that apply to this
-  // engine's current configuration, in canonical order (DESIGN.md §13):
-  // vectorized cube → scalar oracle, interned fingerprints → string-keyed
-  // plans, cached relations → fresh rebuild. Each entry is cumulative with
-  // the previous ones and tagged with its canonical position for records.
+  // The fallback ladder has one rung below the primary configuration
+  // (DESIGN.md §13): the reference configuration — scalar cube oracle with
+  // the relation cache detached, so every query rebuilds its join
+  // privately. It exists only when it changes something.
   const CubeExecMode saved_mode = cube_exec_;
-  const bool saved_fingerprints = query_fingerprints_;
   RelationCache* const saved_cache = relation_cache_;
-  struct LadderRung {
-    uint32_t canonical;
-    std::function<void()> apply;
-  };
-  std::vector<LadderRung> ladder;
-  if (recovery_->fallback_ladder) {
-    if (strategy_ != EvalStrategy::kNaive &&
-        cube_exec_ == CubeExecMode::kVectorized) {
-      ladder.push_back({1, [this] { cube_exec_ = CubeExecMode::kScalarOracle; }});
-    }
-    if (strategy_ != EvalStrategy::kNaive && query_fingerprints_) {
-      ladder.push_back({2, [this] { query_fingerprints_ = false; }});
-    }
-    if (relation_cache_ != nullptr) {
-      ladder.push_back({3, [this] { relation_cache_ = nullptr; }});
-    }
-  }
+  const bool has_reference_rung =
+      recovery_->fallback_ladder &&
+      ((strategy_ != EvalStrategy::kNaive &&
+        cube_exec_ == CubeExecMode::kVectorized) ||
+       relation_cache_ != nullptr);
 
   struct Pending {
     size_t index;       ///< batch index of the failing query
@@ -477,8 +405,7 @@ void EvalEngine::RecoverBatch(
   }
 
   const RetryPolicy& retry = recovery_->retry;
-  uint32_t rungs_applied = 0;   // entries of `ladder` engaged so far
-  uint32_t canonical_rung = 0;  // canonical position for records
+  uint32_t rung = 0;  // 0 = primary, 1 = reference
   uint32_t attempt_on_rung = 1;
   while (!pending.empty()) {
     if (governor_ != nullptr && governor_->exhausted()) break;
@@ -489,21 +416,23 @@ void EvalEngine::RecoverBatch(
       SleepForBackoff(retry, attempt_on_rung);
       ++attempt_on_rung;
       ++stats_.recovery_retries;
-    } else if (rungs_applied < ladder.size()) {
-      ladder[rungs_applied].apply();
-      canonical_rung = ladder[rungs_applied].canonical;
-      ++rungs_applied;
+    } else if (has_reference_rung && rung == 0) {
+      cube_exec_ = CubeExecMode::kScalarOracle;
+      relation_cache_ = nullptr;
+      rung = 1;
       attempt_on_rung = 1;
       ++stats_.ladder_descents;
     } else {
       break;  // every rung exhausted: quarantine what's left
     }
 
-    std::vector<size_t> subset;
+    // Re-run the still-failing subset under the current configuration;
+    // its failures refill batch_failed_ with subset-local indices.
+    std::vector<QueryInterner::Id> subset;
     subset.reserve(pending.size());
-    for (const Pending& p : pending) subset.push_back(p.index);
+    for (const Pending& p : pending) subset.push_back(ids[p.index]);
     batch_failed_.clear();
-    std::vector<std::optional<double>> sub_results = rerun(subset);
+    std::vector<std::optional<double>> sub_results = DispatchIds(subset);
     // Re-run failures feed `pending` below, not the hard-error channel.
     (void)ConsumeHardError();
     std::map<size_t, Status> still_failed;
@@ -518,12 +447,12 @@ void EvalEngine::RecoverBatch(
       ++p.attempts;
       auto it = still_failed.find(k);
       if (it == still_failed.end()) {
-        // Healed: recovered values are the true values (every rung is a
-        // bit-identical twin of the primary path), so verdicts match the
-        // fault-free run exactly.
+        // Healed: recovered values are the true values (the reference rung
+        // is a bit-identical twin of the primary path), so verdicts match
+        // the fault-free run exactly.
         if (k < sub_results.size()) results[p.index] = sub_results[k];
         recovery_records_.push_back(
-            QueryRecovery{p.index, p.attempts, canonical_rung, true});
+            QueryRecovery{p.index, p.attempts, rung, true});
         ++stats_.queries_recovered;
       } else {
         p.last = it->second;
@@ -534,14 +463,13 @@ void EvalEngine::RecoverBatch(
   }
 
   cube_exec_ = saved_mode;
-  query_fingerprints_ = saved_fingerprints;
   relation_cache_ = saved_cache;
 
   if (pending.empty()) return;  // fully healed; primary error stays consumed
   for (Pending& p : pending) {
     failed_queries_.push_back(p.index);
     recovery_records_.push_back(
-        QueryRecovery{p.index, p.attempts, canonical_rung, false});
+        QueryRecovery{p.index, p.attempts, rung, false});
     ++stats_.queries_quarantined;
   }
   {
@@ -616,325 +544,6 @@ std::optional<double> EvalEngine::AnswerFromCube(
       cube.LookupPacked(CubeResult::PackKey(key.data(), nd), agg_idx);
   if (!v.has_value() && is_count_like) return 0.0;
   return v;
-}
-
-const EvalEngine::CacheEntry* EvalEngine::FindCached(
-    const CubeAggregate& agg, const std::vector<ColumnRef>& cols,
-    const std::map<std::string, std::vector<Value>>& needed_literals,
-    const std::string& relation_key, std::string* hit_key) const {
-  auto covers = [&](const CacheEntry& entry) {
-    if (entry.relation_key != relation_key) return false;
-    const CubeResult& cube = *entry.cube;
-    for (const ColumnRef& col : cols) {
-      int dim = -1;
-      for (size_t d = 0; d < cube.dims().size(); ++d) {
-        if (cube.dims()[d] == col) {
-          dim = static_cast<int>(d);
-          break;
-        }
-      }
-      if (dim < 0) return false;  // dimension not in this cube
-      auto it = needed_literals.find(strings::ToLower(col.ToString()));
-      if (it == needed_literals.end()) continue;
-      for (const Value& v : it->second) {
-        if (cube.BucketOf(static_cast<size_t>(dim), v) == kDefaultBucket) {
-          return false;  // literal not separately bucketed
-        }
-      }
-    }
-    return true;
-  };
-
-  // Exact dimension-set hit first.
-  std::string exact_key =
-      agg.Key() + "|" + relation_key + "|" + DimSetKey(cols);
-  auto it = cache_.find(exact_key);
-  if (it != cache_.end() && covers(it->second)) {
-    if (hit_key != nullptr) *hit_key = exact_key;
-    return &it->second;
-  }
-
-  // Otherwise any cached cube for the same aggregate whose dimensions are a
-  // superset of the query's predicate columns (rollup reuse, §6.3).
-  std::string agg_prefix = agg.Key() + "|";
-  for (const auto& [key, entry] : cache_) {
-    if (!strings::StartsWith(key, agg_prefix)) continue;
-    if (covers(entry)) {
-      if (hit_key != nullptr) *hit_key = key;
-      return &entry;
-    }
-  }
-  return nullptr;
-}
-
-std::vector<std::optional<double>> EvalEngine::EvaluateMerged(
-    const std::vector<SimpleAggregateQuery>& queries, bool use_cache) {
-  std::vector<std::optional<double>> results(queries.size());
-  Timer plan_timer;
-
-  // ---- Plan phase (serial) -------------------------------------------
-  // Everything that touches shared state — grouping, cache lookups and
-  // insertions, stats for hits/misses — happens here, in a deterministic
-  // order, before any worker runs. Cubes that must be executed are planned
-  // as jobs whose result shells are built (and, in cached mode, published
-  // to the cache) up front; the shells' shape is fixed at construction, so
-  // later cache-coverage checks within this same plan behave exactly as if
-  // the cubes had already been filled.
-
-  // Global relevant-literal map: the union of predicate values per column
-  // across the whole batch (the paper's "literals with non-zero marginal
-  // probability for any claim").
-  std::map<std::string, std::vector<Value>> literals_by_col;
-  std::map<std::string, ColumnRef> col_by_key;
-  for (const auto& q : queries) {
-    for (const Predicate& p : q.predicates) {
-      std::string key = strings::ToLower(p.column.ToString());
-      col_by_key.emplace(key, p.column);
-      auto& lits = literals_by_col[key];
-      if (std::find(lits.begin(), lits.end(), p.value) == lits.end()) {
-        lits.push_back(p.value);
-      }
-    }
-  }
-
-  // Group queries by relation (referenced-table set) and normalized
-  // predicate-column set; only queries over the same joined relation may
-  // share a cube.
-  struct Group {
-    std::vector<ColumnRef> dims;
-    std::string relation_key;
-    std::vector<size_t> query_indices;
-  };
-  std::map<std::string, Group> groups;
-  std::vector<NormalizedPreds> normalized(queries.size());
-  ScanStats serial_scan;
-
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const auto& q = queries[i];
-    if (!executor_.Validate(q).ok()) {
-      results[i] = std::nullopt;
-      continue;
-    }
-    normalized[i] = Normalize(q.predicates);
-    if (normalized[i].unsatisfiable) {
-      // Rare degenerate case: fall back to the reference executor so all
-      // strategies agree on semantics.
-      auto r = executor_.Execute(q, &serial_scan, governor_,
-                                 relation_cache_);
-      if (!r.ok()) NoteQueryFailure(i, r.status());
-      results[i] = r.ok() ? *r : std::nullopt;
-      continue;
-    }
-    std::vector<ColumnRef> dims;
-    dims.reserve(normalized[i].preds.size());
-    for (const Predicate& p : normalized[i].preds) dims.push_back(p.column);
-    std::sort(dims.begin(), dims.end());
-    std::string relation = RelationKey(q);
-    std::string key = relation + "||" + DimSetKey(dims);
-    auto& group = groups[key];
-    if (group.query_indices.empty()) {
-      group.dims = dims;
-      group.relation_key = relation;
-    }
-    group.query_indices.push_back(i);
-  }
-
-  /// Where a query's aggregate comes from: a cube (cached or this batch's
-  /// shell) and, if the cube is filled by this batch, its job index.
-  struct Source {
-    std::shared_ptr<CubeResult> cube;
-    size_t agg_idx = 0;
-    int job = -1;
-  };
-  struct PlannedGroup {
-    std::vector<size_t> query_indices;
-    std::unordered_map<std::string, Source> sources;
-  };
-  std::vector<CubeJob> jobs;
-  std::vector<PlannedGroup> planned;
-  planned.reserve(groups.size());
-  // Shell -> job index, so cache hits on this batch's own shells can be
-  // traced to the job that must succeed before they are readable.
-  std::unordered_map<const CubeResult*, int> job_of_cube;
-
-  for (auto& [group_key, group] : groups) {
-    (void)group_key;
-    // Base aggregates needed by this group (ratio fns need a Count).
-    std::vector<CubeAggregate> needed;
-    auto add_needed = [&needed](CubeAggregate agg) {
-      for (const auto& a : needed) {
-        if (a == agg) return;
-      }
-      needed.push_back(std::move(agg));
-    };
-    for (size_t qi : group.query_indices) {
-      const auto& q = queries[qi];
-      CubeAggregate agg;
-      agg.column = q.agg_column;
-      switch (q.fn) {
-        case AggFn::kPercentage:
-        case AggFn::kConditionalProbability:
-          agg.fn = AggFn::kCount;
-          break;
-        default:
-          agg.fn = q.fn;
-          break;
-      }
-      add_needed(std::move(agg));
-    }
-
-    // Literals needed on this group's dimensions.
-    std::map<std::string, std::vector<Value>> needed_literals;
-    for (const ColumnRef& d : group.dims) {
-      std::string key = strings::ToLower(d.ToString());
-      needed_literals[key] = literals_by_col[key];
-    }
-
-    // Resolve each aggregate to a (cube, index) source: cache or job.
-    PlannedGroup pg;
-    pg.query_indices = std::move(group.query_indices);
-    std::vector<CubeAggregate> to_execute;
-    for (const CubeAggregate& agg : needed) {
-      if (use_cache) {
-        std::string hit_key;
-        const CacheEntry* hit = FindCached(agg, group.dims, needed_literals,
-                                           group.relation_key, &hit_key);
-        // A hit on an entry carried over from a previous governor run must
-        // replay its recorded charges first (this batch's own shells are
-        // exempt — their execution charges directly). A replay that trips
-        // withdraws the entry and degrades the lookup to a miss, so the
-        // rebuild aborts under the tripped governor exactly as a cold run.
-        if (hit != nullptr && job_of_cube.count(hit->cube.get()) == 0 &&
-            !ReplayChargesForHit(*hit)) {
-          cache_.erase(hit_key);
-          hit = nullptr;
-        }
-        if (hit != nullptr) {
-          ++stats_.cache_hits;
-          Source src;
-          src.cube = hit->cube;
-          src.agg_idx = hit->agg_idx;
-          auto jit = job_of_cube.find(hit->cube.get());
-          if (jit != job_of_cube.end()) src.job = jit->second;
-          pg.sources[agg.Key()] = std::move(src);
-          continue;
-        }
-        ++stats_.cache_misses;
-      }
-      to_execute.push_back(agg);
-    }
-
-    if (!to_execute.empty()) {
-      std::vector<std::vector<Value>> dim_literals;
-      dim_literals.reserve(group.dims.size());
-      for (const ColumnRef& d : group.dims) {
-        dim_literals.push_back(
-            needed_literals[strings::ToLower(d.ToString())]);
-        // Pre-warm the dimension's lazy dictionary (codes + distinct
-        // values) while still serial; cube workers then only read it.
-        if (const Column* col = db_->FindColumn(d)) (void)col->Codes();
-      }
-      // Likewise pre-warm what the vectorized kernels read: the flat typed
-      // view of every aggregate column, and the dictionary for
-      // CountDistinct (which aggregates codes instead of hashing Values).
-      // Column's lazy builds are internally synchronized, but building here
-      // keeps workers on the lock-free already-built path.
-      for (const CubeAggregate& agg : to_execute) {
-        if (agg.is_star()) continue;
-        if (const Column* col = db_->FindColumn(agg.column)) {
-          (void)col->Flat();
-          if (agg.fn == AggFn::kCountDistinct) (void)col->Codes();
-        }
-      }
-      CubeJob job;
-      job.shell = std::make_shared<CubeResult>(group.dims, dim_literals,
-                                               to_execute);
-      const int job_idx = static_cast<int>(jobs.size());
-      job_of_cube[job.shell.get()] = job_idx;
-      ++stats_.cube_queries;
-      for (size_t a = 0; a < to_execute.size(); ++a) {
-        Source src;
-        src.cube = job.shell;
-        src.agg_idx = a;
-        src.job = job_idx;
-        pg.sources[to_execute[a].Key()] = std::move(src);
-        if (use_cache && !publish_read_only_) {
-          std::string cache_key = to_execute[a].Key() + "|" +
-                                  group.relation_key + "|" +
-                                  DimSetKey(group.dims);
-          cache_[cache_key] =
-              CacheEntry{job.shell, a, group.relation_key};
-          job.cache_keys.push_back(std::move(cache_key));
-        }
-      }
-      jobs.push_back(std::move(job));
-    }
-    planned.push_back(std::move(pg));
-  }
-
-  stats_.plan_seconds += plan_timer.ElapsedSeconds();
-
-  ExecuteJobs(jobs);
-
-  // ---- Fold phase (serial, job order) --------------------------------
-  // Stats accumulate and failed jobs withdraw their cache entries in plan
-  // order, so cache contents and counters never depend on interleaving.
-  Timer fold_timer;
-  for (CubeJob& job : jobs) {
-    stats_.rows_scanned += job.scan.rows_scanned;
-    stats_.joins_built += job.scan.joins_built;
-    stats_.join_cache_hits += job.scan.join_cache_hits;
-    stats_.join_seconds += job.scan.join_seconds;
-    if (job.status.ok()) {
-      // The execution just charged this run; stamp it so a later run (not
-      // this one) replays the recorded charges on a warm hit.
-      if (governor_ != nullptr) {
-        job.shell->charges.charged_run = governor_->run_id();
-      }
-      continue;
-    }
-    for (const std::string& key : job.cache_keys) cache_.erase(key);
-    if (!job.status.IsResourceExhausted()) NoteHardError(job.status);
-  }
-  stats_.fold_seconds += fold_timer.ElapsedSeconds();
-
-  // ---- Answer phase (serial, group order) ----------------------------
-  Timer answer_timer;
-  for (const PlannedGroup& pg : planned) {
-    for (size_t qi : pg.query_indices) {
-      const auto& q = queries[qi];
-      CubeAggregate agg;
-      agg.column = q.agg_column;
-      agg.fn = (q.fn == AggFn::kPercentage ||
-                q.fn == AggFn::kConditionalProbability)
-                   ? AggFn::kCount
-                   : q.fn;
-      auto it = pg.sources.find(agg.Key());
-      if (it == pg.sources.end()) {
-        results[qi] = std::nullopt;
-        continue;
-      }
-      const Source& src = it->second;
-      if (src.job >= 0 && !jobs[static_cast<size_t>(src.job)].status.ok()) {
-        // Cube execution failed; a governor stop means this query was
-        // aborted (its claim degrades to a partial verdict), anything else
-        // is recorded for the recovery pass.
-        NoteQueryFailure(qi, jobs[static_cast<size_t>(src.job)].status);
-        results[qi] = std::nullopt;
-        continue;
-      }
-      results[qi] = AnswerFromCube(q, normalized[qi], *src.cube,
-                                   src.agg_idx);
-    }
-  }
-
-  stats_.answer_seconds += answer_timer.ElapsedSeconds();
-
-  stats_.rows_scanned += serial_scan.rows_scanned;
-  stats_.joins_built += serial_scan.joins_built;
-  stats_.join_cache_hits += serial_scan.join_cache_hits;
-  stats_.join_seconds += serial_scan.join_seconds;
-  return results;
 }
 
 void EvalEngine::ExecuteJobs(std::vector<CubeJob>& jobs) {
@@ -1078,9 +687,8 @@ const EvalEngine::GroupPlan& EvalEngine::EnsureGroupPlan(
   }
   plan.relation = cq.relation;
   plan.dimset = cq.dimset;
-  plan.relation_key = interner_.relation_key(cq.relation);
-  plan.dimset_key = DimSetKey(plan.dims);
-  plan.sort_key = plan.relation_key + "||" + plan.dimset_key;
+  plan.sort_key =
+      interner_.relation_key(cq.relation) + "||" + DimSetKey(plan.dims);
   ++stats_.plans_built;
   return group_plans_.emplace(key, std::move(plan)).first->second;
 }
@@ -1089,9 +697,9 @@ const EvalEngine::CacheEntry* EvalEngine::FindCachedIds(
     QueryInterner::Id agg, const GroupPlan& plan,
     const std::vector<const std::vector<Value>*>& dim_literals,
     SliceKey* hit_key) const {
-  // Same coverage test as the string path's FindCached: every group
-  // dimension must be a dimension of the candidate cube, with every batch
-  // literal separately bucketed (relation equality is implied by the keys).
+  // Coverage: every group dimension must be a dimension of the candidate
+  // cube, with every batch literal separately bucketed (relation equality
+  // is implied by the keys).
   auto covers = [&](const CacheEntry& entry) {
     const CubeResult& cube = *entry.cube;
     for (size_t i = 0; i < plan.dims.size(); ++i) {
@@ -1144,36 +752,26 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
   std::vector<uint8_t> decided = std::move(batch_decided_);
   batch_decided_.clear();
   const bool probe_batch = decided.size() == ids.size();
-  if (probe_batch) decided_settled_.assign(ids.size(), 0);
-  // Fingerprint-plan-path-only fault point: the string-keyed rung of the
-  // fallback ladder does not pass through here, so chaos tests can prove
-  // the ladder heals a poisoned fingerprint path.
-  {
-    Status planner_fault = Status::OK();
-    AGG_FAULT_POINT_STATUS("plan.fingerprint", planner_fault);
-    if (!planner_fault.ok()) {
-      for (size_t i = 0; i < ids.size(); ++i) {
-        NoteQueryFailure(i, planner_fault);
-      }
-      return results;
-    }
-  }
   Timer plan_timer;
 
   // ---- Plan phase (serial) -------------------------------------------
-  // The fingerprint twin of EvaluateMerged's plan phase: same ordering,
-  // same cache decisions, but all identity work is integer hashing against
-  // state compiled once per distinct query / group and reused across
-  // batches and EM iterations.
+  // Everything that touches shared state — grouping, cache lookups and
+  // insertions, stats for hits/misses — happens here, in a deterministic
+  // order, before any worker runs. Cubes that must be executed are planned
+  // as jobs whose result shells are built (and, in cached mode, published
+  // to the cache) up front; the shells' shape is fixed at construction, so
+  // later cache-coverage checks within this same plan behave exactly as if
+  // the cubes had already been filled. All identity work is integer
+  // hashing against state compiled once per distinct query / group and
+  // reused across batches and EM iterations.
 
   // Compile every query once (validity, normalization, group ids).
   for (QueryInterner::Id id : ids) EnsureCompiled(id);
 
-  // Batch-relevant literals: the union of predicate values per column over
-  // the whole batch — including invalid queries, exactly like the string
-  // path, which collects literals before validation. Dedup is by predicate
-  // id: the interner's value identity is Value::operator==, the same
-  // equivalence the string path's std::find dedup uses.
+  // Batch-relevant literals (the paper's "literals with non-zero marginal
+  // probability for any claim"): the union of predicate values per column
+  // over the whole batch, invalid queries included. Dedup is by predicate
+  // id: the interner's value identity is Value::operator==.
   ++batch_epoch_;
   if (batch_epoch_ == 0) {
     // Epoch counter wrapped: stale stamps could alias. Reset all stamps.
@@ -1209,9 +807,11 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
     }
   }
 
-  // Group queries by (relation, dimension set) — integer keys — then sort
-  // groups by the string path's composite map key so group order (and with
-  // it intra-batch cache rollup behavior) is byte-identical.
+  // Group queries by (relation, dimension set) — integer keys; only queries
+  // over the same joined relation may share a cube — then sort groups by
+  // their plans' canonical text key, so group order (and with it
+  // intra-batch rollup reuse, cube formation, and governor charges) does
+  // not depend on interning order.
   struct BatchGroup {
     const GroupPlan* plan = nullptr;
     std::vector<size_t> query_indices;
@@ -1267,9 +867,9 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
 
   for (BatchGroup& bg : batch_groups) {
     const GroupPlan& plan = *bg.plan;
-    // Base aggregate ids needed by this group, deduplicated in first-need
-    // order (matches the string path's CubeAggregate dedup — aggregate ids
-    // are injective on (fn, column) identity). An aggregate is "live" when
+    // Base aggregate ids needed by this group (ratio fns need a Count),
+    // deduplicated in first-need order — aggregate ids are injective on
+    // (fn, column) identity. An aggregate is "live" when
     // some undecided query reads it; slices read only by probe-decided
     // queries skip their kernels (DESIGN.md §17).
     std::vector<QueryInterner::Id> needed;
@@ -1308,7 +908,11 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
         SliceKey hit_key;
         const CacheEntry* hit = FindCachedIds(agg, plan, dim_literals,
                                               &hit_key);
-        // Cross-run charge replay, as on the string path.
+        // A hit on an entry carried over from a previous governor run must
+        // replay its recorded charges first (this batch's own shells are
+        // exempt — their execution charges directly). A replay that trips
+        // withdraws the entry and degrades the lookup to a miss, so the
+        // rebuild aborts under the tripped governor exactly as a cold run.
         if (hit != nullptr && job_of_cube.count(hit->cube.get()) == 0 &&
             !ReplayChargesForHit(*hit)) {
           fp_cache_.erase(hit_key);
@@ -1393,11 +997,11 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
         if (use_cache && !publish_read_only_) {
           SliceKey key{to_execute[a], plan.relation, plan.dimset};
           auto [cit, inserted] =
-              fp_cache_.emplace(key, CacheEntry{job.shell, a, {}});
+              fp_cache_.emplace(key, CacheEntry{job.shell, a});
           if (!inserted) {
             // Republished slice (the earlier cube lacked a literal bucket):
             // replace the entry but keep its original rollup-scan position.
-            cit->second = CacheEntry{job.shell, a, {}};
+            cit->second = CacheEntry{job.shell, a};
           } else {
             fp_cache_order_[(uint64_t{to_execute[a]} << 32) |
                             uint64_t{plan.relation}]
@@ -1416,6 +1020,8 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
   ExecuteJobs(jobs);
 
   // ---- Fold phase (serial, job order) --------------------------------
+  // Stats accumulate and failed jobs withdraw their cache entries in plan
+  // order, so cache contents and counters never depend on interleaving.
   Timer fold_timer;
   for (CubeJob& job : jobs) {
     stats_.rows_scanned += job.scan.rows_scanned;
@@ -1423,6 +1029,8 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
     stats_.join_cache_hits += job.scan.join_cache_hits;
     stats_.join_seconds += job.scan.join_seconds;
     if (job.status.ok()) {
+      // The execution just charged this run; stamp it so a later run (not
+      // this one) replays the recorded charges on a warm hit.
       if (governor_ != nullptr) {
         job.shell->charges.charged_run = governor_->run_id();
       }

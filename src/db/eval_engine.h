@@ -1,7 +1,6 @@
 #pragma once
 
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -47,11 +46,11 @@ struct EvalStats {
   /// Queries left unanswered because the resource governor tripped; their
   /// results surface as nullopt and the owning claims become partial.
   size_t queries_aborted = 0;
-  /// Plan-cache counters (fingerprint path only; the string-keyed reference
-  /// path re-plans every batch and leaves both at zero). A "plan" is the
-  /// per-(relation, dimension-set) grouping work — canonical keys, sorted
-  /// dims, column bindings — built once and reused across batches, claims,
-  /// and EM iterations.
+  /// Plan-cache counters (merged strategies only; naive batches have no
+  /// plan and leave both at zero). A "plan" is the per-(relation,
+  /// dimension-set) grouping work — canonical keys, sorted dims, column
+  /// bindings — built once and reused across batches, claims, and EM
+  /// iterations.
   size_t plans_built = 0;
   size_t plan_cache_hits = 0;
   /// Cached cube slices evicted because a base table's data version moved
@@ -131,18 +130,15 @@ class EvalEngine {
         relation_cache_(&db->relation_cache()) {}
 
   /// Evaluates every query; result[i] is nullopt when query i is invalid,
-  /// unsatisfiable for value-returning aggregates, or undefined.
-  /// With query fingerprints enabled (the default) merged strategies intern
-  /// the queries and run the fingerprint path; results are bit-identical
-  /// either way (the plan-cache differential test pins this down).
+  /// unsatisfiable for value-returning aggregates, or undefined. A thin
+  /// wrapper: the queries are interned and evaluated by EvaluateInterned.
   std::vector<std::optional<double>> EvaluateBatch(
       const std::vector<SimpleAggregateQuery>& queries);
 
-  /// Evaluates a batch of interned queries by id (see interner()). The
-  /// fast path for callers that generate candidates as fingerprints — no
-  /// SimpleAggregateQuery strings are built except lazily for the naive
-  /// strategy and executor fallbacks. Ids must come from this engine's
-  /// interner. Requires query fingerprints enabled.
+  /// Evaluates a batch of interned queries by id (see interner()) — the one
+  /// way queries reach the engine. No SimpleAggregateQuery is built except
+  /// lazily for the naive strategy and executor fallbacks. Ids must come
+  /// from this engine's interner.
   std::vector<std::optional<double>> EvaluateInterned(
       const std::vector<QueryInterner::Id>& ids);
 
@@ -160,6 +156,11 @@ class EvalEngine {
   /// with their decided_settled() flag set, telling the caller its
   /// synthesized outcome stands. Failure handling (aborted jobs, recovery,
   /// quarantine) treats decided queries exactly like undecided ones.
+  ///
+  /// The naive strategy has no shared scan to hide a skipped query behind:
+  /// there a decided query is skipped and settled only when no budget is in
+  /// play (governor null or unlimited); under any budget it is evaluated
+  /// for real and left unsettled, so exhaustion points never move.
   std::vector<std::optional<double>> EvaluateInterned(
       const std::vector<QueryInterner::Id>& ids,
       const std::vector<uint8_t>& decided);
@@ -185,29 +186,16 @@ class EvalEngine {
   std::vector<std::optional<double>> EvaluateProbeBackfill(
       const std::vector<QueryInterner::Id>& ids);
 
-  /// String-path variant of the probe backfill (naive strategy or
-  /// query_fingerprints off): same off-ledger contract, materialized
-  /// queries instead of interned ids.
-  std::vector<std::optional<double>> EvaluateProbeBackfill(
-      const std::vector<SimpleAggregateQuery>& queries);
-
   /// Evaluates a single query using the engine's strategy (and cache).
   std::optional<double> Evaluate(const SimpleAggregateQuery& query);
 
   const EvalStats& stats() const { return stats_; }
   void ResetStats() { stats_.Reset(); }
   void ClearCache() {
-    cache_.clear();
     fp_cache_.clear();
     fp_cache_order_.clear();
   }
   EvalStrategy strategy() const { return strategy_; }
-
-  /// Toggles the fingerprint-keyed plan/cache path (default on). Off = the
-  /// string-keyed reference path, kept for differential testing exactly as
-  /// the scalar cube oracle and the uncached relation path are.
-  void SetQueryFingerprints(bool enabled) { query_fingerprints_ = enabled; }
-  bool query_fingerprints() const { return query_fingerprints_; }
 
   /// The engine's query interner. Callers (the translator) intern candidate
   /// fragments through this and ship ids to EvaluateInterned. Interning is
@@ -242,22 +230,22 @@ class EvalEngine {
   CubeExecMode cube_exec_mode() const { return cube_exec_; }
 
   /// \brief One query's trip through the recovery layer (consumed per batch
-  /// via ConsumeRecoveryRecords). `rung` is the canonical ladder position
-  /// the query ended on: 0 = healed by same-rung retries on the primary
-  /// configuration, 1 = scalar cube oracle, 2 = string-keyed plans,
-  /// 3 = fresh (uncached) joins; see RecoveryRungName.
+  /// via ConsumeRecoveryRecords). `rung` is the ladder position the query
+  /// ended on: 0 = healed by same-rung retries on the primary
+  /// configuration, 1 = the reference configuration (scalar cube oracle,
+  /// relation cache detached); see RecoveryRungName.
   struct QueryRecovery {
     size_t query_index = 0;  ///< index within the batch that failed
     uint32_t attempts = 1;   ///< total evaluation attempts, initial included
-    uint32_t rung = 0;       ///< canonical ladder position (0 = primary)
+    uint32_t rung = 0;       ///< ladder position (0 = primary)
     bool recovered = false;  ///< false = quarantined on every rung
   };
 
   /// Enables (options.enabled, the default) or disables the self-healing
   /// layer: hard-failed queries are retried with backoff while their error
-  /// is transient, then re-run down the fallback ladder (scalar cube →
-  /// string-keyed plans → uncached joins), and only queries failing on every
-  /// rung are surrendered (ConsumeFailedQueries / queries_quarantined).
+  /// is transient, then re-run on the reference rung (scalar cube oracle
+  /// over uncached joins), and only queries failing there too are
+  /// surrendered (ConsumeFailedQueries / queries_quarantined).
   /// Raw engines default to OFF so differential tests observe unmasked
   /// errors; core::AggChecker turns it on from CheckOptions::recovery.
   void SetRecovery(const RecoveryOptions& options) {
@@ -283,8 +271,7 @@ class EvalEngine {
     return std::move(recovery_records_);
   }
 
-  /// Human-readable name of a canonical ladder position: "primary",
-  /// "scalar-cube", "string-plans", "fresh-join".
+  /// Human-readable name of a ladder position: "primary" or "reference".
   static const char* RecoveryRungName(uint32_t rung);
 
   /// Watchdog core, exposed for deterministic unit tests: given per-morsel
@@ -316,12 +303,11 @@ class EvalEngine {
 
  private:
   /// One cached slice: a cube result plus the index of the aggregate within
-  /// it that this cache entry answers, tagged with the relation the cube
-  /// was computed over.
+  /// it that this cache entry answers (the relation it was computed over is
+  /// part of its SliceKey).
   struct CacheEntry {
     std::shared_ptr<CubeResult> cube;
     size_t agg_idx;
-    std::string relation_key;
   };
 
   /// Normalized predicates: deduplicated, with a flag when the conjunction
@@ -332,9 +318,8 @@ class EvalEngine {
   };
   static NormalizedPreds Normalize(const std::vector<Predicate>& preds);
 
-  /// Slice identity on the fingerprint path: which (aggregate, relation,
-  /// dimension-set) a cached cube slice answers. The integer twin of the
-  /// string path's "AggKey|relation|dimset" cache key.
+  /// Slice identity: which (aggregate, relation, dimension-set) a cached
+  /// cube slice answers, as interned ids.
   struct SliceKey {
     QueryInterner::Id agg = QueryInterner::kNone;
     QueryInterner::Id relation = QueryInterner::kNone;
@@ -357,8 +342,7 @@ class EvalEngine {
   /// Per-query compilation cached across batches (indexed by interned query
   /// id): validity, normalized predicates, sorted dimension columns, and the
   /// interned ids planning groups by. Built once per distinct candidate for
-  /// the lifetime of the engine — the per-iteration plan work the string
-  /// path re-does from scratch.
+  /// the lifetime of the engine instead of once per batch.
   struct CompiledQuery {
     bool compiled = false;
     bool valid = false;
@@ -370,7 +354,7 @@ class EvalEngine {
   };
 
   /// Cached plan of one (relation, dimension-set) cube group: everything
-  /// the plan phase used to rebuild per batch from strings. Plans hold no
+  /// the plan phase would otherwise rebuild per batch. Plans hold no
   /// result data, so they never need governor-trip invalidation; the
   /// catalog (hence every dim/relation here) is immutable per run.
   struct GroupPlan {
@@ -378,29 +362,26 @@ class EvalEngine {
     std::vector<const Column*> dim_columns;  ///< bound once; may hold null
     QueryInterner::Id relation = QueryInterner::kNone;
     QueryInterner::Id dimset = QueryInterner::kNone;
-    std::string relation_key;
-    std::string dimset_key;
-    /// The string path's std::map composite key; batch groups sort by this
-    /// so group order (and thus intra-batch cache rollup behavior) is
-    /// byte-identical to the reference path.
+    /// "relation||dimset" in canonical lower-cased text. Batch groups sort
+    /// by this, which fixes group order independently of interning order:
+    /// group order decides intra-batch rollup reuse, and with it cube
+    /// formation and governor charges.
     std::string sort_key;
   };
 
-  /// One cube to materialize: fills `shell` on a worker. The cache keys
-  /// (string- or fingerprint-keyed, per mode) published for it at plan time
-  /// are withdrawn on failure.
+  /// One cube to materialize: fills `shell` on a worker. The slices
+  /// published for it at plan time are withdrawn on failure.
   struct CubeJob {
     std::shared_ptr<CubeResult> shell;
-    std::vector<std::string> cache_keys;
     std::vector<SliceKey> slice_keys;
     Status status = Status::OK();
     ScanStats scan;
   };
 
+  /// One executor scan per query. Consumes batch_decided_ (see the naive
+  /// rule on EvaluateInterned(ids, decided)).
   std::vector<std::optional<double>> EvaluateNaive(
-      const std::vector<SimpleAggregateQuery>& queries);
-  std::vector<std::optional<double>> EvaluateMerged(
-      const std::vector<SimpleAggregateQuery>& queries, bool use_cache);
+      const std::vector<QueryInterner::Id>& ids);
   std::vector<std::optional<double>> EvaluateMergedIds(
       const std::vector<QueryInterner::Id>& ids, bool use_cache);
 
@@ -423,8 +404,6 @@ class EvalEngine {
   /// Strategy dispatch without the public wrappers' stats bumping or
   /// recovery pass — the single evaluation primitive both the primary
   /// attempt and recovery re-runs go through.
-  std::vector<std::optional<double>> DispatchQueries(
-      const std::vector<SimpleAggregateQuery>& queries);
   std::vector<std::optional<double>> DispatchIds(
       const std::vector<QueryInterner::Id>& ids);
 
@@ -434,16 +413,12 @@ class EvalEngine {
   /// for the recovery pass.
   void NoteQueryFailure(size_t index, const Status& status);
 
-  /// The recovery pass (DESIGN.md §13): retries batch_failed_ queries with
-  /// capped backoff while transient, then re-runs the still-failing subset
-  /// down the fallback ladder via `rerun` (which evaluates a subset of the
-  /// original batch under the engine's current configuration and refills
-  /// batch_failed_ with subset-local indices). Healed results are written
+  /// The recovery pass (DESIGN.md §13): retries batch_failed_ queries of
+  /// `ids` with capped backoff while transient, then re-runs the
+  /// still-failing subset on the reference rung. Healed results are written
   /// into `results`; queries failing on every rung are quarantined.
-  void RecoverBatch(
-      const std::function<std::vector<std::optional<double>>(
-          const std::vector<size_t>&)>& rerun,
-      std::vector<std::optional<double>>& results);
+  void RecoverBatch(const std::vector<QueryInterner::Id>& ids,
+                    std::vector<std::optional<double>>& results);
 
   /// Compiles query `id` (validity, normalization, group ids) if not yet
   /// cached and returns the compilation.
@@ -455,8 +430,7 @@ class EvalEngine {
   const GroupPlan& EnsureGroupPlan(const CompiledQuery& cq);
 
   /// Shared execute phase: Prepare / morsel-drained ScanBlock / Finish over
-  /// `jobs`, adding wall time to EvalStats::execute_seconds. Both merged
-  /// paths funnel through this so scheduling behavior cannot drift.
+  /// `jobs`, adding wall time to EvalStats::execute_seconds.
   void ExecuteJobs(std::vector<CubeJob>& jobs);
 
   /// Runs body(i) for i in [0, n): on the attached pool when present,
@@ -470,35 +444,22 @@ class EvalEngine {
                                        const CubeResult& cube,
                                        size_t agg_idx) const;
 
-  /// Finds a cached slice answering `agg` over predicate columns `cols`
-  /// with the required literals, for a query running over relation
-  /// `relation_key`; nullptr on miss. Cubes over different relations are
-  /// never interchangeable: an aggregate over a PK-FK join differs from the
-  /// same aggregate over a base table (inner joins drop dangling rows and
-  /// joins multiply cardinalities).
+  /// Finds a cached slice answering aggregate `agg` over group `plan` with
+  /// every batch literal separately bucketed; nullptr on miss. Exact
+  /// SliceKey hit first, then a rollup scan (§6.3) over the
+  /// insertion-ordered slices of (agg, plan.relation). Cubes over different
+  /// relations are never interchangeable: an aggregate over a PK-FK join
+  /// differs from the same aggregate over a base table (inner joins drop
+  /// dangling rows and joins multiply cardinalities).
   ///
   /// During a batch's plan phase the cache may hold entries whose cube is a
   /// still-empty shell scheduled for this batch; coverage only inspects the
   /// cube's shape (dims + literal buckets), which is fixed at construction,
   /// so hit/miss decisions are identical whether the cube is filled yet.
-  /// `hit_key`, when non-null, receives the cache key the returned entry is
-  /// registered under (which differs from the exact key on rollup hits) so
-  /// the caller can withdraw the entry if its charge replay trips.
-  const CacheEntry* FindCached(const CubeAggregate& agg,
-                               const std::vector<ColumnRef>& cols,
-                               const std::map<std::string, std::vector<Value>>&
-                                   needed_literals,
-                               const std::string& relation_key,
-                               std::string* hit_key = nullptr) const;
-
-  /// Fingerprint-path twin of FindCached: exact SliceKey hit first, then a
-  /// rollup scan over the insertion-ordered slices of (agg, plan.relation).
-  /// Hit/miss *existence* matches the string path exactly (same candidate
-  /// set, same coverage test); when several cached cubes cover, the one
-  /// chosen may differ — covering cubes answer identically, so this only
-  /// shows up through job linkage under governor trips (see DESIGN.md §12).
-  /// `dim_literals[d]` are the batch literals of plan.dims[d].
-  /// `hit_key` as in FindCached: the SliceKey the entry lives under.
+  /// `dim_literals[d]` are the batch literals of plan.dims[d]. `hit_key`,
+  /// when non-null, receives the SliceKey the returned entry lives under
+  /// (which differs from the exact key on rollup hits) so the caller can
+  /// withdraw the entry if its charge replay trips.
   const CacheEntry* FindCachedIds(
       QueryInterner::Id agg, const GroupPlan& plan,
       const std::vector<const std::vector<Value>*>& dim_literals,
@@ -512,10 +473,10 @@ class EvalEngine {
   /// Diffs the database's current version vector against the last observed
   /// one; when tables changed, evicts exactly the cached cube slices whose
   /// relation's join closure reads a changed table (counted in
-  /// EvalStats::cache_invalidations) from cache_ / fp_cache_ /
-  /// fp_cache_order_. Plans (group_plans_), compilations (compiled_), and
-  /// the interner survive: they hold no result data, and their bound
-  /// Column pointers stay valid because ingestion mutates columns in place.
+  /// EvalStats::cache_invalidations) from fp_cache_ / fp_cache_order_.
+  /// Plans (group_plans_), compilations (compiled_), and the interner
+  /// survive: they hold no result data, and their bound Column pointers
+  /// stay valid because ingestion mutates columns in place.
   void RefreshDataVersions();
 
   /// \brief Charge replay for a cross-run cache hit (DESIGN.md §16).
@@ -553,18 +514,14 @@ class EvalEngine {
   std::vector<std::pair<size_t, Status>> batch_failed_;
   std::vector<size_t> failed_queries_;       ///< see ConsumeFailedQueries
   std::vector<QueryRecovery> recovery_records_;
-  // Cache key: aggregate key + "|" + relation key + "|" + sorted dim-set
-  // key. Written only from serial plan/fold phases.
-  std::unordered_map<std::string, CacheEntry> cache_;
   /// Last observed database version vector (see RefreshDataVersions);
   /// starts empty, so the first sweep observes every table as "changed"
   /// against empty caches — a no-op.
   std::vector<std::pair<std::string, uint64_t>> data_versions_;
 
-  // ---- Fingerprint path state (see DESIGN.md §12) ----------------------
+  // ---- Plan and cache state (see DESIGN.md §12) -----------------------
   // All of it is written only from serial plan/fold phases; workers never
   // touch the interner or these maps.
-  bool query_fingerprints_ = true;
   QueryInterner interner_;
   /// Indexed by interned query id (ids are dense). Deque: references stay
   /// stable while new queries compile.
@@ -572,26 +529,26 @@ class EvalEngine {
   /// (relation id << 32 | dimset id) -> plan. Survives batches and EM
   /// iterations; holds no result data, so ClearCache leaves it alone.
   std::unordered_map<uint64_t, GroupPlan> group_plans_;
-  /// Result cache, fingerprint-keyed. fp_cache_order_ lists the SliceKeys
+  /// Result cache, keyed by SliceKey. fp_cache_order_ lists the SliceKeys
   /// of each (agg id << 32 | relation id) in first-publish order for the
   /// rollup scan; withdrawn entries linger there as stale keys (skipped via
   /// map membership) — republishing may append a duplicate, bounded by the
   /// number of governor trips.
   std::unordered_map<SliceKey, CacheEntry, SliceKeyHasher> fp_cache_;
   std::unordered_map<uint64_t, std::vector<SliceKey>> fp_cache_order_;
-  /// Batch-local scratch for literal collection, epoch-stamped so clearing
-  /// between batches is O(touched), not O(interned).
   // ---- Probe-pruning state (DESIGN.md §17) -----------------------------
   /// Probe-decided flags staged by EvaluateInterned(ids, decided) and
-  /// consumed (moved out) at EvaluateMergedIds entry, so recovery re-runs —
-  /// which re-enter with a *subset* of the original ids — can never observe
-  /// misaligned flags.
+  /// consumed (moved out) at EvaluateNaive / EvaluateMergedIds entry, so
+  /// recovery re-runs — which re-enter with a *subset* of the original ids
+  /// — can never observe misaligned flags.
   std::vector<uint8_t> batch_decided_;
   std::vector<uint8_t> decided_settled_;  ///< see decided_settled()
   /// True while EvaluateProbeBackfill runs: cache publication sites are
   /// skipped (reads and fill-ins of existing entries still happen).
   bool publish_read_only_ = false;
 
+  /// Batch-local scratch for literal collection, epoch-stamped so clearing
+  /// between batches is O(touched), not O(interned).
   uint32_t batch_epoch_ = 0;
   std::vector<uint32_t> pred_epoch_;
   std::vector<uint32_t> col_epoch_;

@@ -27,8 +27,8 @@ Result<std::shared_ptr<const JoinedRelation>> RelationCache::Acquire(
     const Database& db, const std::vector<std::string>& tables,
     ResourceGovernor::Shard& shard, AcquireInfo* info) {
   // Cached-path-only fault point (AcquireOrBuildRelation's uncached build
-  // bypasses it): models a poisoned cache entry; the ladder's fresh-join
-  // rung is the rung that heals it.
+  // bypasses it): models a poisoned cache entry; the ladder's reference
+  // rung, which detaches the relation cache, heals it.
   AGG_FAULT_POINT("relation.cache.acquire");
   const ResourceGovernor* governor = shard.governor();
   if (governor != nullptr) {

@@ -79,10 +79,11 @@ struct ModelOptions {
   /// Verification-aware candidate pruning (DESIGN.md §17): probe each
   /// candidate against column statistics and dictionaries before it enters
   /// the evaluation batch, and skip the aggregation kernels of cube slices
-  /// every reader of which the probe already decided. Reports are
-  /// bit-identical with pruning on or off (the probe-pruning differential
-  /// tests pin this down); the flag only trades probe work for kernel work.
-  /// Requires the fingerprint path (query_fingerprints); ignored otherwise.
+  /// every reader of which the probe already decided (the naive strategy
+  /// skips a decided candidate's scan instead, but only when no budget is
+  /// in play). Reports are bit-identical with pruning on or off (the
+  /// probe-pruning differential tests pin this down); the flag only trades
+  /// probe work for evaluation work.
   bool probe_pruning = true;
 
   /// Debug/differential mode: run every probe but evaluate all candidates

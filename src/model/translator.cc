@@ -364,43 +364,27 @@ TranslationResult Translator::Translate(
   std::vector<std::unordered_map<uint64_t, EvalOutcome>> outcomes(n);
   std::vector<std::vector<ScoredTriple>> selections(n);
 
-  // Fingerprint path: candidates ship to the engine as interned query ids,
-  // encoded through per-claim memo tables that persist across iterations.
-  // Encoders are created and used only in serial sections (the interner is
-  // not thread-safe); the parallel final-distributions loop below sticks to
+  // Candidates ship to the engine as interned query ids, encoded through
+  // per-claim memo tables that persist across iterations. Encoders are
+  // created and used only in serial sections (the interner is not
+  // thread-safe); the parallel final-distributions loop below sticks to
   // CandidateSpace::Materialize.
-  // The naive strategy takes the string path even when fingerprints are
-  // on: its interned dispatch ignores probe flags (the engine degrades
-  // them to "don't prune"), while the string path can skip settled
-  // candidates outright — and interned materialization is
-  // content-identical to the space's, so results cannot move.
-  db::QueryInterner* interner =
-      engine->query_fingerprints() &&
-              engine->strategy() != db::EvalStrategy::kNaive
-          ? &engine->interner()
-          : nullptr;
+  db::QueryInterner& interner = engine->interner();
   std::vector<std::optional<CandidateInterner>> encoders(n);
   auto encoder_for = [&](size_t i) -> CandidateInterner& {
     if (!encoders[i].has_value()) {
-      encoders[i].emplace(*spaces[i], *catalog_, *interner);
+      encoders[i].emplace(*spaces[i], *catalog_, interner);
     }
     return *encoders[i];
   };
 
   // Verification-aware probe stage (DESIGN.md §17): candidates are probed
   // once (per triple, cached across EM iterations via the outcomes map) as
-  // they enter their first batch. On the fingerprint path decided
-  // candidates still ship to the engine (flagged, so charges and reports
-  // stay bit-identical); on the string path there is no flag transport, so
-  // a settled probe skips the batch outright — work-proportional charging,
-  // which is only sound when no budget is in play (exhaustion points must
-  // not move). In probe_verify mode decisions are recorded and
-  // cross-checked but never acted on, so everything evaluates for real.
-  const bool string_path_pruning =
-      interner == nullptr &&
-      (governor == nullptr || governor->limits().unlimited());
-  const bool probing =
-      options_.probe_pruning && (interner != nullptr || string_path_pruning);
+  // they enter their first batch. Decided candidates still ship to the
+  // engine, flagged; the engine decides what a flag may skip without
+  // moving charges or reports. In probe_verify mode decisions are recorded
+  // and cross-checked but never acted on, so everything evaluates for real.
+  const bool probing = options_.probe_pruning;
   std::optional<CandidateProber> prober;
   std::vector<rounding::MatchInterval> claim_intervals;
   if (probing) {
@@ -460,9 +444,7 @@ TranslationResult Translator::Translate(
     });
 
     // RefineByEval: evaluate all newly selected candidates in one batch so
-    // the engine can merge across claims (§6.2). On the fingerprint path
-    // candidates are encoded to interned ids instead of materialized.
-    std::vector<db::SimpleAggregateQuery> batch;
+    // the engine can merge across claims (§6.2).
     std::vector<db::QueryInterner::Id> id_batch;
     std::vector<std::pair<size_t, uint64_t>> batch_owner;
     std::vector<uint8_t> decided_batch;
@@ -478,40 +460,10 @@ TranslationResult Translator::Translate(
                             allow_undef_magnitude, &result.probe_stats);
           result.probe_stats.probe_seconds += probe_timer.ElapsedSeconds();
         }
-        if (interner != nullptr) {
-          id_batch.push_back(encoder_for(i).Encode(t.f, t.c, t.s));
-          if (probing) {
-            decided_batch.push_back(
-                d.decided && !options_.probe_verify ? 1 : 0);
-            probe_batch.push_back(d);
-          }
-        } else {
-          if (probing && d.decided && !options_.probe_verify) {
-            // String path: the settled probe IS the outcome; the candidate
-            // never evaluates. Sound by the verify-mode contract (the
-            // synthesized outcome equals the real one), and bit-identity
-            // still holds because the top-k backfill restores withheld
-            // magnitude results before anything is reported.
-            EvalOutcome o;
-            o.probe_decided = true;
-            if (d.no_result) {
-              o.probe_no_result = true;
-            } else {
-              o.result = d.known_result;
-              o.matches =
-                  o.result.has_value() &&
-                  rounding::Matches(*o.result, claims[i].claimed_value(),
-                                    options_.rounding_mode,
-                                    options_.rounding_tolerance);
-            }
-            outcomes[i][key] = o;
-            continue;
-          }
-          if (probing) {
-            decided_batch.push_back(0);  // string path ships no flags
-            probe_batch.push_back(d);
-          }
-          batch.push_back(spaces[i]->Materialize(t.f, t.c, t.s, *catalog_));
+        id_batch.push_back(encoder_for(i).Encode(t.f, t.c, t.s));
+        if (probing) {
+          decided_batch.push_back(d.decided && !options_.probe_verify ? 1 : 0);
+          probe_batch.push_back(d);
         }
         batch_owner.emplace_back(i, key);
         outcomes[i][key] = EvalOutcome{};  // reserve to avoid dup enqueues
@@ -519,12 +471,9 @@ TranslationResult Translator::Translate(
     }
     if (!batch_owner.empty()) {
       result.queries_evaluated += batch_owner.size();
-      auto results =
-          interner != nullptr
-              ? (probing && !options_.probe_verify
-                     ? engine->EvaluateInterned(id_batch, decided_batch)
-                     : engine->EvaluateInterned(id_batch))
-              : engine->EvaluateBatch(batch);
+      auto results = probing && !options_.probe_verify
+                         ? engine->EvaluateInterned(id_batch, decided_batch)
+                         : engine->EvaluateInterned(id_batch);
       if (!absorb_engine_failures(engine, [&](size_t b) {
             return batch_owner[std::min(b, batch_owner.size() - 1)].first;
           })) {
@@ -537,13 +486,10 @@ TranslationResult Translator::Translate(
         const ProbeDecision* pd =
             probing && probe_batch[b].decided ? &probe_batch[b] : nullptr;
         if (options_.probe_verify && probing) {
-          if (interner != nullptr) {
-            // Consistency: fingerprint-equivalent candidates must agree.
-            auto [vit, fresh] =
-                verify_results.emplace(id_batch[b], results[b]);
-            if (!fresh && !SameResult(vit->second, results[b])) {
-              ++result.probe_stats.probe_conflicts;
-            }
+          // Consistency: fingerprint-equivalent candidates must agree.
+          auto [vit, fresh] = verify_results.emplace(id_batch[b], results[b]);
+          if (!fresh && !SameResult(vit->second, results[b])) {
+            ++result.probe_stats.probe_conflicts;
           }
           if (pd != nullptr) {
             // Soundness: the synthesized outcome must agree with the real
@@ -628,12 +574,8 @@ TranslationResult Translator::Translate(
       if (best != nullptr) {
         // The interned materialization is content-identical to the space's
         // (same catalog fragments), so the priors see the same queries.
-        ml_queries.push_back(
-            interner != nullptr
-                ? interner->Materialize(
-                      encoder_for(i).Encode(best->f, best->c, best->s))
-                : spaces[i]->Materialize(best->f, best->c, best->s,
-                                         *catalog_));
+        ml_queries.push_back(interner.Materialize(
+            encoder_for(i).Encode(best->f, best->c, best->s)));
       }
     }
     Priors next = Priors::FromMlQueries(ml_queries, *catalog_);
@@ -724,7 +666,6 @@ TranslationResult Translator::Translate(
   // entries — so later claims and re-checks see identical state either way.
   if (probing && !options_.probe_verify) {
     std::vector<db::QueryInterner::Id> back_ids;
-    std::vector<db::SimpleAggregateQuery> back_queries;  // string path
     std::vector<std::pair<size_t, size_t>> back_owner;  // (claim, rank)
     for (size_t i = 0; i < n; ++i) {
       if (is_pinned(i)) continue;
@@ -734,19 +675,13 @@ TranslationResult Translator::Translate(
       for (size_t r = 0; r < limit; ++r) {
         const RankedCandidate& cand = dist.ranked[r];
         if (!cand.probe_decided || cand.result.has_value()) continue;
-        if (interner != nullptr) {
-          back_ids.push_back(interner->InternQuery(cand.query));
-        } else {
-          back_queries.push_back(cand.query);
-        }
+        back_ids.push_back(interner.InternQuery(cand.query));
         back_owner.emplace_back(i, r);
       }
     }
     if (!back_owner.empty()) {
       Timer backfill_timer;
-      auto back = interner != nullptr
-                      ? engine->EvaluateProbeBackfill(back_ids)
-                      : engine->EvaluateProbeBackfill(back_queries);
+      auto back = engine->EvaluateProbeBackfill(back_ids);
       // The backfill is best-effort cosmetics: failures leave the (already
       // correct) probe verdict in place, and must not leak into this run's
       // recovery/error ledgers.

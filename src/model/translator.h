@@ -47,12 +47,12 @@ struct ClaimDistribution {
 /// query the claim owned.
 struct ClaimRecovery {
   uint32_t attempts = 0;      ///< max evaluation attempts over its queries
-  uint32_t deepest_rung = 0;  ///< deepest canonical ladder rung engaged
+  uint32_t deepest_rung = 0;  ///< deepest ladder rung engaged (0 or 1)
   bool recovered = false;     ///< entered recovery and every query healed
   bool quarantined = false;   ///< some query failed on every rung; the
                               ///< claim degrades to a partial verdict
   bool engaged() const { return attempts > 0; }
-  /// "primary" / "scalar-cube" / "string-plans" / "fresh-join".
+  /// "primary" / "reference".
   const char* final_path() const {
     return db::EvalEngine::RecoveryRungName(deepest_rung);
   }
@@ -92,12 +92,12 @@ struct TranslationResult {
   /// not. Empty for claims whose space references no table.
   std::vector<std::vector<std::string>> dependency_tables;
   /// Verification-aware probe counters (DESIGN.md §17); all-zero when
-  /// ModelOptions::probe_pruning is off or the string path is in use.
+  /// ModelOptions::probe_pruning is off.
   ProbeStats probe_stats;
 };
 
 /// \brief Per-claim encoder from candidate triples (f, c, s) to interned
-/// query ids — the translator's half of the fingerprint path.
+/// query ids, the form in which candidates ship to the engine.
 ///
 /// A claim's CandidateSpace is fixed after Build, so every fragment the
 /// claim can ever select is interned at most once and memoized by its

@@ -32,7 +32,6 @@ namespace fault_injection {
   X("fleet.generator.emit")         \
   X("fleet.schedule.pop")           \
   X("join.materialize")             \
-  X("plan.fingerprint")             \
   X("relation.cache.acquire")       \
   X("snapshot.load.map")            \
   X("translator.probe")

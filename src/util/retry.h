@@ -37,11 +37,11 @@ void SleepForBackoff(const RetryPolicy& policy, uint32_t retry_index);
 ///
 /// Defaults are ON at the `CheckOptions` level: a transient fault is
 /// retried on the same configuration, a persistent fault in an optimized
-/// path descends the fallback ladder (vectorized cube → scalar oracle,
-/// interned fingerprint plans → string-keyed plans, cached relations →
-/// fresh rebuild), and only claims that fail on every rung are quarantined
-/// as partial verdicts. Raw `db::EvalEngine` instances keep recovery OFF
-/// unless SetRecovery is called, so differential tests see unmasked errors.
+/// path descends the fallback ladder to its one reference rung (scalar
+/// cube oracle over freshly rebuilt, uncached joins), and only claims that
+/// fail there too are quarantined as partial verdicts. Raw
+/// `db::EvalEngine` instances keep recovery OFF unless SetRecovery is
+/// called, so differential tests see unmasked errors.
 struct RecoveryOptions {
   /// Master switch. When false the engine surfaces hard errors unchanged.
   bool enabled = true;

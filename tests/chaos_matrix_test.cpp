@@ -206,7 +206,7 @@ TEST(ChaosMatrixTest, ManifestMatchesRegistryAndEveryPointExecutes) {
 // The matrix itself: each manifest point armed at 100% (permanent
 // kInternal), swept over the article sample. Outcomes must stay in the
 // documented vocabulary, quarantined claims must degrade to partial (never
-// erroneous), and for the three optimized-path points the fallback ladder
+// erroneous), and for the two optimized-path points the fallback ladder
 // must fully heal the run: verdicts bit-identical to the fault-free
 // reference, ladder engaged, nothing surrendered.
 TEST(ChaosMatrixTest, EveryManifestPointArmedAtFullRate) {
@@ -217,8 +217,8 @@ TEST(ChaosMatrixTest, EveryManifestPointArmedAtFullRate) {
       FullMatrix() ? articles.size() : std::min<size_t>(articles.size(), 2);
   // Points whose faults live strictly inside an optimized path with a
   // reference twin below it on the ladder: these must heal completely.
-  const std::set<std::string> healed_by_ladder = {
-      "cube.scan.vectorized", "plan.fingerprint", "relation.cache.acquire"};
+  const std::set<std::string> healed_by_ladder = {"cube.scan.vectorized",
+                                                   "relation.cache.acquire"};
   // Points whose faulted feature degrades in place instead of descending
   // the ladder: a faulted candidate probe simply declines to prune, so the
   // run completes fault-free and bit-identical with no recovery trace.
@@ -308,7 +308,12 @@ TEST(ChaosMatrixTest, HalfTripRateRecoversOnPrimaryRung) {
   auto articles = corpus::EmbeddedArticles();
   ASSERT_FALSE(articles.empty());
   const corpus::CorpusCase& article = articles.front();
-  const RunOutcome reference = RunArticle(article, FastRecoveryOptions());
+  // One thread: the seeded schedule draws per hit, so the hit sequence —
+  // and with it the recovery counters compared below — is fixed only when
+  // morsels run in order.
+  core::CheckOptions options = FastRecoveryOptions();
+  options.model.num_threads = 1;
+  const RunOutcome reference = RunArticle(article, options);
   ASSERT_TRUE(reference.status.ok());
 
   fi::FaultSpec spec;
@@ -317,7 +322,7 @@ TEST(ChaosMatrixTest, HalfTripRateRecoversOnPrimaryRung) {
   spec.trip_rate = 0.5;
   spec.seed = 20260808;
   fi::Arm("cube.scan.vectorized", spec);
-  RunOutcome outcome = RunArticle(article, FastRecoveryOptions());
+  RunOutcome outcome = RunArticle(article, options);
   const uint64_t hits = fi::HitCount("cube.scan.vectorized");
   fi::DisarmAll();
 
@@ -339,7 +344,7 @@ TEST(ChaosMatrixTest, HalfTripRateRecoversOnPrimaryRung) {
   // Determinism of the seeded schedule: the same (seed, hit sequence)
   // trips the same hits, so a rerun reproduces the exact recovery counters.
   fi::Arm("cube.scan.vectorized", spec);
-  RunOutcome rerun = RunArticle(article, FastRecoveryOptions());
+  RunOutcome rerun = RunArticle(article, options);
   fi::DisarmAll();
   ASSERT_TRUE(rerun.status.ok());
   EXPECT_EQ(rerun.report.eval_stats.recovery_retries,

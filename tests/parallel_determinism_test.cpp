@@ -300,7 +300,7 @@ TEST(ParallelDeterminismTest, MemoryTripDuringBackoffStaysDeterministic) {
   corpus::CorpusCase healing_case = corpus::GenerateCase(1, options);
 
   // Transient + every hit: the recovering run retries with backoff on the
-  // primary rung (both retries re-fault), then heals on the scalar-cube
+  // primary rung (both retries re-fault), then heals on the reference
   // rung. trip_rate 1.0 keeps firing independent of how the two runs'
   // shared hit counter interleaves.
   fi::FaultSpec spec;

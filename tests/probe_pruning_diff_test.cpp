@@ -1,5 +1,5 @@
 // Verification-aware candidate pruning (DESIGN.md §17): reports with
-// probe_pruning on must be bit-identical (FleetVerdictFingerprint) to the
+// model.probe_pruning on must be bit-identical (FleetVerdictFingerprint) to the
 // unpruned reference, with equal governor charge totals, across the
 // embedded article corpus, thread counts, budgets, and ingestion-mutated
 // databases. Also pins the probe_verify zero-conflict contract (an unsound
@@ -38,7 +38,7 @@ RunOutcome RunOnce(const db::Database* db, const text::TextDocument& doc,
                    std::shared_ptr<const fragments::FragmentCatalog> catalog =
                        nullptr) {
   core::CheckOptions options;
-  options.probe_pruning = pruning;
+  options.model.probe_pruning = pruning;
   options.model.num_threads = threads;
   options.governor.max_row_scans = budget;
   options.prebuilt_catalog = std::move(catalog);
@@ -147,7 +147,7 @@ TEST(ProbePruningDiffTest, VerifyModeFindsNoConflicts) {
   for (const corpus::CorpusCase& article : articles) {
     for (bool naive : {false, true}) {
       core::CheckOptions options;
-      options.probe_verify = true;
+      options.model.probe_verify = true;
       if (naive) options.strategy = db::EvalStrategy::kNaive;
       auto checker = core::AggChecker::Create(&article.database, options);
       ASSERT_TRUE(checker.ok());
@@ -260,25 +260,23 @@ TEST(ProbePruningDiffTest, ReCheckWithPruningMatchesUnprunedScratch) {
   EXPECT_EQ(core::FleetVerdictFingerprint(*recheck), reference.fingerprint);
 }
 
-// The string evaluation path (naive strategy, or query_fingerprints off)
-// prunes by skipping evaluation outright — work-proportional charging —
-// so core enables it only under an unlimited governor, where it must stay
-// bit-identical to the unpruned run; any budget forces it probe-free.
-TEST(ProbePruningDiffTest, StringPathPrunesOnlyWhenUnbudgeted) {
+// The naive strategy has no shared scan to hide a decided candidate
+// behind, so the engine skips a settled candidate's scan outright — but
+// only under an unlimited governor, where it must stay bit-identical to
+// the unpruned run. Under any budget every candidate is evaluated for
+// real, so charges (and with them exhaustion points) match exactly.
+TEST(ProbePruningDiffTest, NaiveSkipsDecidedOnlyWhenUnbudgeted) {
   corpus::CorpusCase article = corpus::MakeNflCase();
 
-  for (bool naive : {true, false}) {
+  for (uint64_t budget : {uint64_t{0}, uint64_t{20'000}}) {
     core::CheckOptions pruned;
-    if (naive) {
-      pruned.strategy = db::EvalStrategy::kNaive;
-    } else {
-      pruned.query_fingerprints = false;
-    }
-    pruned.probe_pruning = true;
+    pruned.strategy = db::EvalStrategy::kNaive;
+    pruned.model.num_threads = 1;  // exact charge totals at exhaustion
+    pruned.governor.max_row_scans = budget;
+    pruned.model.probe_pruning = true;
     core::CheckOptions reference = pruned;
-    reference.probe_pruning = false;
-    auto pruned_checker =
-        core::AggChecker::Create(&article.database, pruned);
+    reference.model.probe_pruning = false;
+    auto pruned_checker = core::AggChecker::Create(&article.database, pruned);
     ASSERT_TRUE(pruned_checker.ok());
     auto reference_checker =
         core::AggChecker::Create(&article.database, reference);
@@ -287,23 +285,19 @@ TEST(ProbePruningDiffTest, StringPathPrunesOnlyWhenUnbudgeted) {
     ASSERT_TRUE(pruned_report.ok());
     auto reference_report = reference_checker->Check(article.document);
     ASSERT_TRUE(reference_report.ok());
-    EXPECT_GT(pruned_report->probe_stats.candidates_probed, 0u)
-        << (naive ? "naive" : "strings");
+
+    const std::string where = "budget=" + std::to_string(budget);
+    EXPECT_GT(pruned_report->probe_stats.candidates_pruned, 0u) << where;
     EXPECT_EQ(core::FleetVerdictFingerprint(*pruned_report),
               core::FleetVerdictFingerprint(*reference_report))
-        << (naive ? "naive" : "strings");
-
-    // Under a budget the string path has no way to prune without moving
-    // the governor's exhaustion point, so core keeps it probe-free.
-    core::CheckOptions budgeted = pruned;
-    budgeted.governor.max_row_scans = 20'000;
-    auto budgeted_checker =
-        core::AggChecker::Create(&article.database, budgeted);
-    ASSERT_TRUE(budgeted_checker.ok());
-    auto budgeted_report = budgeted_checker->Check(article.document);
-    ASSERT_TRUE(budgeted_report.ok());
-    EXPECT_EQ(budgeted_report->probe_stats.candidates_probed, 0u)
-        << (naive ? "naive" : "strings");
+        << where;
+    if (budget == 0) {
+      // Skipped scans are never charged.
+      EXPECT_LT(pruned_report->governor_usage.rows_charged,
+                reference_report->governor_usage.rows_charged);
+    } else {
+      ExpectChargeParity(*pruned_report, *reference_report, where);
+    }
   }
 }
 

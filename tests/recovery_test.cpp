@@ -38,9 +38,9 @@ std::vector<db::SimpleAggregateQuery> NflQueries() {
   };
 }
 
-// A persistent fault in the vectorized cube scan must descend exactly one
-// rung (the scalar oracle is its bit-identical twin), heal every query, and
-// restore the engine's configuration afterwards.
+// A persistent fault in the vectorized cube scan must descend to the
+// reference rung (the scalar oracle is its bit-identical twin), heal every
+// query, and restore the engine's configuration afterwards.
 TEST(RecoveryTest, LadderHealsVectorizedCubeFault) {
   fi::DisarmAll();
   auto db = testing_fixtures::MakeNflDatabase();
@@ -56,7 +56,7 @@ TEST(RecoveryTest, LadderHealsVectorizedCubeFault) {
   fi::DisarmAll();
 
   EXPECT_EQ(results, expected) << "recovered values must be the true values";
-  EXPECT_GE(engine.stats().ladder_descents, 1u);
+  EXPECT_EQ(engine.stats().ladder_descents, 1u);
   EXPECT_EQ(engine.stats().queries_recovered, queries.size());
   EXPECT_EQ(engine.stats().queries_quarantined, 0u);
   EXPECT_EQ(engine.stats().recovery_retries, 0u)
@@ -73,7 +73,6 @@ TEST(RecoveryTest, LadderHealsVectorizedCubeFault) {
   }
   // Configuration restored: the next batch runs the primary path again.
   EXPECT_EQ(engine.cube_exec_mode(), db::CubeExecMode::kVectorized);
-  EXPECT_TRUE(engine.query_fingerprints());
   EXPECT_NE(engine.relation_cache(), nullptr);
 }
 
@@ -108,33 +107,9 @@ TEST(RecoveryTest, TransientFaultHealsOnPrimaryRung) {
   }
 }
 
-// The string-keyed plan rung: a fault at the fingerprint planner fires on
-// rungs 0 and 1 (both still plan by fingerprint) and is shed at rung 2.
-TEST(RecoveryTest, LadderReachesStringPlanRung) {
-  fi::DisarmAll();
-  auto db = testing_fixtures::MakeNflDatabase();
-  auto queries = NflQueries();
-  db::EvalEngine reference(&db, db::EvalStrategy::kMergedCached);
-  const auto expected = reference.EvaluateBatch(queries);
-
-  db::EvalEngine engine(&db, db::EvalStrategy::kMergedCached);
-  engine.SetRecovery(FastRecovery());
-  fi::Arm("plan.fingerprint");
-  const auto results = engine.EvaluateBatch(queries);
-  fi::DisarmAll();
-
-  EXPECT_EQ(results, expected);
-  EXPECT_EQ(engine.stats().queries_recovered, queries.size());
-  for (const auto& rec : engine.ConsumeRecoveryRecords()) {
-    EXPECT_TRUE(rec.recovered);
-    EXPECT_EQ(rec.rung, 2u) << db::EvalEngine::RecoveryRungName(rec.rung);
-  }
-  EXPECT_TRUE(engine.query_fingerprints()) << "configuration restored";
-}
-
-// The fresh-join rung: a fault in the shared relation cache's acquire path
-// survives the cube and plan rungs (they still acquire through the cache)
-// and is shed only when the ladder drops to private, uncached joins.
+// The reference rung also detaches the relation cache: a fault in the
+// shared cache's acquire path is shed on that same single rung, because
+// every query there rebuilds its join privately.
 TEST(RecoveryTest, LadderReachesFreshJoinRung) {
   fi::DisarmAll();
   auto db = testing_fixtures::MakeOrdersDatabase();
@@ -157,9 +132,12 @@ TEST(RecoveryTest, LadderReachesFreshJoinRung) {
   EXPECT_EQ(engine.stats().queries_recovered, 1u);
   for (const auto& rec : engine.ConsumeRecoveryRecords()) {
     EXPECT_TRUE(rec.recovered);
-    EXPECT_EQ(rec.rung, 3u) << db::EvalEngine::RecoveryRungName(rec.rung);
+    EXPECT_EQ(rec.rung, 1u) << db::EvalEngine::RecoveryRungName(rec.rung);
+    EXPECT_STREQ(db::EvalEngine::RecoveryRungName(rec.rung), "reference");
   }
+  EXPECT_EQ(engine.stats().ladder_descents, 1u);
   EXPECT_NE(engine.relation_cache(), nullptr) << "configuration restored";
+  EXPECT_EQ(engine.cube_exec_mode(), db::CubeExecMode::kVectorized);
 }
 
 // Raw engines keep the pre-recovery contract: hard errors surface unmasked,

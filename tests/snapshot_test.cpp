@@ -29,6 +29,10 @@ namespace aggchecker {
 namespace {
 
 const char* kDir = "snapshot_test_dir";
+/// The differential sweep's own directory: ctest runs tests as parallel
+/// processes, and CorruptionFallsBackToRebuild corrupts and deletes a case
+/// snapshot under kDir that this sweep would otherwise be loading.
+const char* kDiffDir = "snapshot_test_diff_dir";
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -92,9 +96,9 @@ TEST(SnapshotTest, DifferentialBitIdentityAcrossThreadsAndBudgets) {
   auto corpus = corpus::EmbeddedArticles();
   ASSERT_FALSE(corpus.empty());
 
-  ::mkdir(kDir, 0755);
+  ::mkdir(kDiffDir, 0755);
   corpus::SnapshotRunOptions save;
-  save.dir = kDir;
+  save.dir = kDiffDir;
   save.save = true;
   corpus::SnapshotRunStats save_stats;
   auto saved =
@@ -103,7 +107,7 @@ TEST(SnapshotTest, DifferentialBitIdentityAcrossThreadsAndBudgets) {
   EXPECT_GT(save_stats.snapshot_bytes, 0u);
 
   corpus::SnapshotRunOptions load;
-  load.dir = kDir;
+  load.dir = kDiffDir;
   load.load = true;
 
   for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
@@ -129,7 +133,7 @@ TEST(SnapshotTest, DifferentialBitIdentityAcrossThreadsAndBudgets) {
     }
   }
   for (const auto& test_case : corpus) {
-    std::remove(corpus::SnapshotPathForCase(kDir, test_case.name).c_str());
+    std::remove(corpus::SnapshotPathForCase(kDiffDir, test_case.name).c_str());
   }
 }
 
