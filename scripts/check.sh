@@ -20,7 +20,7 @@
 #                                 # ReCheck >= 10x cold, bit-identity
 #   scripts/check.sh probe-smoke  # verification-aware candidate pruning:
 #                                 # >= 30% pruned, naive rung >= x1.3,
-#                                 # bit-identity on both ladder rungs
+#                                 # bit-identity on the naive rung
 #   scripts/check.sh chaos-matrix # exhaustive fault-point sweep (ASan+UBSan)
 #
 # The chaos-matrix step first checks that the compile-time fault-point
@@ -53,11 +53,11 @@
 #
 # The probe-smoke step builds the Release preset's `bench_probe_pruning`
 # binary and runs it with --smoke: the embedded articles plus a small
-# generated corpus are checked with probe pruning on and off across two
-# rungs of the Table 6 strategy ladder, and the run fails unless probes
-# prune at least 30% of candidates, the naive (per-candidate evaluation)
-# rung is at least x1.3 faster with pruning on, and pruned reports are
-# bit-identical to unpruned ones on every case of both rungs.
+# generated corpus are checked with probe pruning on and off on the naive
+# (per-candidate evaluation) rung of the Table 6 strategy ladder, the only
+# configuration that probes, and the run fails unless probes prune at
+# least 30% of candidates, the pruned run is at least x1.3 faster, and
+# pruned reports are bit-identical to unpruned ones on every case.
 #
 # The perf-smoke step builds the Release preset's `perf_smoke` binary and
 # fails if (a) vectorized cube execution is not faster than the scalar

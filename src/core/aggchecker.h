@@ -123,7 +123,9 @@ struct CheckReport {
   /// Verification-aware probe counters (DESIGN.md §17): candidates probed /
   /// pruned (by family), top-k results backfilled, and — in
   /// ModelOptions::probe_verify runs — conflicts between synthesized and
-  /// real outcomes (must be 0).
+  /// real outcomes (must be 0). All zero unless the run uses the naive
+  /// strategy with unlimited governor limits, the one configuration that
+  /// probes.
   model::ProbeStats probe_stats;
 
   size_t NumFlagged() const {

@@ -158,7 +158,6 @@ CorpusRunResult RunOnCorpus(const std::vector<CorpusCase>& corpus,
     result.claims_quarantined += report->NumQuarantined();
     result.watchdog_flags += report->eval_stats.watchdog_flags;
     result.probe_stats.Add(report->probe_stats);
-    result.probe_slices_skipped += report->eval_stats.probe_slices_skipped;
     result.detection.Merge(ScoreErrorDetection(test_case, *report));
     result.coverage.Merge(ScoreCoverage(test_case, *report, 20));
     result.reports.push_back(std::move(*report));

@@ -47,11 +47,8 @@ struct CorpusRunResult {
   size_t claims_quarantined = 0;   ///< claims degraded to quarantined partials
   size_t watchdog_flags = 0;       ///< stalled-job flags (wall-clock based)
   /// Verification-aware probe counters summed over cases (DESIGN.md §17;
-  /// all zero with probe_pruning off).
+  /// all zero unless cases run the naive strategy unbudgeted).
   model::ProbeStats probe_stats;
-  /// Cube slices whose aggregation kernels were skipped because every
-  /// reading query was probe-decided (EvalStats).
-  size_t probe_slices_skipped = 0;
 
   CorpusRunResult() : coverage(20) {}
 };

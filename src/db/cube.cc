@@ -40,13 +40,6 @@ void CubeResult::SetPacked(uint64_t key, size_t agg_idx, double value) {
   cell[agg_idx] = value;
 }
 
-void CubeResult::AdoptSlice(const CubeResult& src, size_t agg_idx) {
-  for (const auto& [key, cell] : src.cells_) {
-    if (cell[agg_idx].has_value()) SetPacked(key, agg_idx, *cell[agg_idx]);
-  }
-  if (!live_.empty()) live_[agg_idx] = 1;
-}
-
 const char* CubeExecModeName(CubeExecMode mode) {
   switch (mode) {
     case CubeExecMode::kVectorized:
@@ -249,15 +242,6 @@ Status CubeExecution::RunScalarOracle() {
   int16_t row_buckets[CubeResult::kMaxDims] = {0, 0, 0, 0};
   int16_t key_buckets[CubeResult::kMaxDims] = {0, 0, 0, 0};
 
-  // Probe pruning (DESIGN.md §17): fully decided slices skip accumulation
-  // and cell writes only. Group/combo structure and all modeled charges
-  // are computed from the full aggregate list above, so a masked run is
-  // charge-identical to an unmasked one.
-  std::vector<uint8_t> slice_live(aggregates.size(), 1);
-  for (size_t a = 0; a < aggregates.size(); ++a) {
-    slice_live[a] = result.slice_live(a) ? 1 : 0;
-  }
-
   const size_t num_rows = rel.num_rows();
   constexpr size_t kBlock = ResourceGovernor::kCheckIntervalRows;
   for (size_t r = 0; r < num_rows; ++r) {
@@ -313,7 +297,6 @@ Status CubeExecution::RunScalarOracle() {
     }
     for (uint32_t group : combo_groups[combo_it->second]) {
       for (size_t a = 0; a < aggregates.size(); ++a) {
-        if (!slice_live[a]) continue;
         const Value& v = aggregates[a].is_star() ? star_placeholder
                                                  : agg_bindings_[a].at(r);
         groups[group][a].Add(v);
@@ -323,7 +306,6 @@ Status CubeExecution::RunScalarOracle() {
 
   for (size_t g = 0; g < groups.size(); ++g) {
     for (size_t a = 0; a < groups[g].size(); ++a) {
-      if (!slice_live[a]) continue;
       std::optional<double> v = groups[g][a].Finish();
       if (v.has_value()) result.SetPacked(group_keys[g], a, *v);
     }
@@ -517,10 +499,6 @@ Status CubeExecution::FinishVectorized() {
   };
 
   for (size_t a = 0; a < aggregates.size(); ++a) {
-    // Probe pruning: a fully decided slice skips its kernel and cell
-    // writes. Charges above came from the full aggregate list, so a
-    // masked run stays charge-identical (DESIGN.md §17).
-    if (!result.slice_live(a)) continue;
     const AggFn fn = aggregates[a].fn;
     const bool star = aggregates[a].is_star();
     const Column* col = star ? nullptr : agg_bindings_[a].column;

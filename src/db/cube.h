@@ -140,38 +140,6 @@ class CubeResult {
 
   size_t num_cells() const { return cells_.size(); }
 
-  /// \brief Slice liveness mask for probe pruning (DESIGN.md §17).
-  ///
-  /// A "slice" is one aggregate's column of cells. When the probe stage
-  /// decides every query reading a slice before evaluation, the execution
-  /// may skip that slice's aggregation kernel and cell writes — but the
-  /// cube keeps its FULL aggregate list, so bucket combos, group keys,
-  /// and every modeled governor charge (group bytes scale with
-  /// `aggregates_.size()`, not the live count) are byte-identical to an
-  /// unpruned run. An empty mask (the default) means all slices are live.
-  /// Non-live slices simply have no cells; LookupPacked yields nullopt.
-  bool slice_live(size_t agg_idx) const {
-    return live_.empty() || live_[agg_idx] != 0;
-  }
-  bool all_slices_live() const { return live_.empty(); }
-
-  /// Installs the mask (size must equal aggregates().size(), or empty for
-  /// all-live). Only valid before execution fills the cube.
-  void SetSliceLiveness(std::vector<uint8_t> live) { live_ = std::move(live); }
-
-  /// Upgrades one slice to live. Only meaningful before execution (a
-  /// non-live slice of an executed cube has no cells to resurrect; use
-  /// AdoptSlice for that).
-  void MarkSliceLive(size_t agg_idx) {
-    if (!live_.empty()) live_[agg_idx] = 1;
-  }
-
-  /// Copies aggregate slice `agg_idx` from `src` — a cube executed over the
-  /// same dims/literals/aggregates with that slice live — into this result
-  /// and marks it live here. Backfills a cached cube whose slice was
-  /// skipped, without re-executing (or re-charging) the cached cube itself.
-  void AdoptSlice(const CubeResult& src, size_t agg_idx);
-
   /// Charge record of the execution that filled this result (written by
   /// CubeExecution::Finish, stamped/replayed by the cache layer). Mutable
   /// bookkeeping about *how* the result was computed, not part of the
@@ -185,9 +153,6 @@ class CubeResult {
   // Per-dimension literal -> bucket index (hash lookup for large sets).
   std::vector<std::unordered_map<Value, int16_t, ValueHasher>> literal_index_;
   std::unordered_map<uint64_t, std::vector<std::optional<double>>> cells_;
-  /// Per-aggregate liveness; empty = all live. Execution bookkeeping like
-  /// `charges` — not part of the result value for equality purposes.
-  std::vector<uint8_t> live_;
 };
 
 /// How ExecuteCubeInto materializes a cube.

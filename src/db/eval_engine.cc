@@ -169,25 +169,6 @@ bool EvalEngine::ReplayChargesForHit(const CacheEntry& entry) {
   return true;
 }
 
-Status EvalEngine::FillInSlice(const CacheEntry& entry) {
-  const CubeResult& cube = *entry.cube;
-  CubeResult fresh(cube.dims(), cube.literals(), cube.aggregates());
-  std::vector<uint8_t> live(cube.aggregates().size(), 0);
-  live[entry.agg_idx] = 1;
-  fresh.SetSliceLiveness(std::move(live));
-  ScanStats scan;
-  CubeExecOptions options;
-  options.mode = cube_exec_;
-  options.relation_cache = relation_cache_;
-  Status status =
-      ExecuteCubeInto(*db_, fresh, &scan, /*governor=*/nullptr, options);
-  if (!status.ok()) return status;
-  entry.cube->AdoptSlice(fresh, entry.agg_idx);
-  ++stats_.probe_fillins;
-  stats_.probe_fillin_rows += scan.rows_scanned;
-  return Status::OK();
-}
-
 std::vector<std::optional<double>> EvalEngine::EvaluateBatch(
     const std::vector<SimpleAggregateQuery>& queries) {
   std::vector<QueryInterner::Id> ids;
@@ -196,7 +177,7 @@ std::vector<std::optional<double>> EvalEngine::EvaluateBatch(
   return EvaluateInterned(ids);
 }
 
-std::vector<std::optional<double>> EvalEngine::EvaluateInternedImpl(
+std::vector<std::optional<double>> EvalEngine::EvaluateInterned(
     const std::vector<QueryInterner::Id>& ids) {
   Timer timer;
   batch_failed_.clear();
@@ -205,39 +186,6 @@ std::vector<std::optional<double>> EvalEngine::EvaluateInternedImpl(
   RecoverBatch(ids, results);
   stats_.queries_answered += ids.size();
   stats_.query_seconds += timer.ElapsedSeconds();
-  return results;
-}
-
-std::vector<std::optional<double>> EvalEngine::EvaluateInterned(
-    const std::vector<QueryInterner::Id>& ids) {
-  batch_decided_.clear();
-  return EvaluateInternedImpl(ids);
-}
-
-std::vector<std::optional<double>> EvalEngine::EvaluateInterned(
-    const std::vector<QueryInterner::Id>& ids,
-    const std::vector<uint8_t>& decided) {
-  // Every strategy consumes the flags (a mis-sized vector degrades to
-  // "don't prune"). Settled flags start all-clear so the caller never sees
-  // flags from an earlier batch.
-  decided_settled_.assign(ids.size(), 0);
-  if (decided.size() == ids.size()) {
-    batch_decided_ = decided;
-  } else {
-    batch_decided_.clear();
-  }
-  return EvaluateInternedImpl(ids);
-}
-
-std::vector<std::optional<double>> EvalEngine::EvaluateProbeBackfill(
-    const std::vector<QueryInterner::Id>& ids) {
-  batch_decided_.clear();
-  const ResourceGovernor* saved_governor = governor_;
-  governor_ = nullptr;
-  publish_read_only_ = true;
-  auto results = EvaluateInternedImpl(ids);
-  publish_read_only_ = false;
-  governor_ = saved_governor;
   return results;
 }
 
@@ -257,27 +205,10 @@ std::vector<std::optional<double>> EvalEngine::EvaluateNaive(
     const std::vector<QueryInterner::Id>& ids) {
   const size_t n = ids.size();
   std::vector<std::optional<double>> results(n);
-  // Probe-decided flags, consumed by move as in EvaluateMergedIds. Skipping
-  // a decided query saves its whole scan, which is work-proportional
-  // charging: it would move a budget's exhaustion point, so it happens only
-  // when no budget is in play. Under any budget decided queries evaluate
-  // for real and stay unsettled.
-  std::vector<uint8_t> decided = std::move(batch_decided_);
-  batch_decided_.clear();
-  const bool skip_decided =
-      decided.size() == n &&
-      (governor_ == nullptr || governor_->limits().unlimited());
-
   // Materialize serially (the interner caches lazily and is not
-  // thread-safe; its references are stable). Skipped queries stay null.
-  std::vector<const SimpleAggregateQuery*> queries(n, nullptr);
-  for (size_t i = 0; i < n; ++i) {
-    if (skip_decided && decided[i] != 0) {
-      decided_settled_[i] = 1;
-      continue;
-    }
-    queries[i] = &interner_.Materialize(ids[i]);
-  }
+  // thread-safe; its references are stable).
+  std::vector<const SimpleAggregateQuery*> queries(n);
+  for (size_t i = 0; i < n; ++i) queries[i] = &interner_.Materialize(ids[i]);
 
   // Execute phase: each query scans independently into its own slot; with
   // one thread this runs inline in index order (today's exact path).
@@ -291,7 +222,6 @@ std::vector<std::optional<double>> EvalEngine::EvaluateNaive(
   Timer execute_timer;
   RunIndexed(n, [&](size_t i) {
     Slot& slot = slots[i];
-    if (queries[i] == nullptr) return;  // settled by the probe
     if (governor_ != nullptr && governor_->exhausted()) {
       slot.skipped = true;  // budget spent before this query started
       return;
@@ -388,10 +318,9 @@ void EvalEngine::RecoverBatch(const std::vector<QueryInterner::Id>& ids,
   const CubeExecMode saved_mode = cube_exec_;
   RelationCache* const saved_cache = relation_cache_;
   const bool has_reference_rung =
-      recovery_->fallback_ladder &&
-      ((strategy_ != EvalStrategy::kNaive &&
-        cube_exec_ == CubeExecMode::kVectorized) ||
-       relation_cache_ != nullptr);
+      (strategy_ != EvalStrategy::kNaive &&
+       cube_exec_ == CubeExecMode::kVectorized) ||
+      relation_cache_ != nullptr;
 
   struct Pending {
     size_t index;       ///< batch index of the failing query
@@ -746,12 +675,6 @@ const EvalEngine::CacheEntry* EvalEngine::FindCachedIds(
 std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
     const std::vector<QueryInterner::Id>& ids, bool use_cache) {
   std::vector<std::optional<double>> results(ids.size());
-  // Probe-decided flags for this batch, consumed (moved out) at entry:
-  // recovery re-runs re-enter this function with a *subset* of the original
-  // ids, and stale member flags would misalign with subset indices.
-  std::vector<uint8_t> decided = std::move(batch_decided_);
-  batch_decided_.clear();
-  const bool probe_batch = decided.size() == ids.size();
   Timer plan_timer;
 
   // ---- Plan phase (serial) -------------------------------------------
@@ -852,9 +775,6 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
     std::shared_ptr<CubeResult> cube;
     size_t agg_idx = 0;
     int job = -1;
-    /// Failed slice fill-in (see FillInSlice); queries reading this source
-    /// fail into the recovery channel, like a failed job.
-    Status fill = Status::OK();
   };
   struct PlannedGroup {
     std::vector<size_t> query_indices;
@@ -869,23 +789,13 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
     const GroupPlan& plan = *bg.plan;
     // Base aggregate ids needed by this group (ratio fns need a Count),
     // deduplicated in first-need order — aggregate ids are injective on
-    // (fn, column) identity. An aggregate is "live" when
-    // some undecided query reads it; slices read only by probe-decided
-    // queries skip their kernels (DESIGN.md §17).
+    // (fn, column) identity.
     std::vector<QueryInterner::Id> needed;
-    std::vector<uint8_t> needed_live;
     for (size_t qi : bg.query_indices) {
       QueryInterner::Id agg = compiled_[ids[qi]].agg;
-      auto nit = std::find(needed.begin(), needed.end(), agg);
-      size_t pos;
-      if (nit == needed.end()) {
+      if (std::find(needed.begin(), needed.end(), agg) == needed.end()) {
         needed.push_back(agg);
-        needed_live.push_back(0);
-        pos = needed.size() - 1;
-      } else {
-        pos = static_cast<size_t>(nit - needed.begin());
       }
-      if (!probe_batch || !decided[qi]) needed_live[pos] = 1;
     }
 
     // This batch's literals per group dimension (every dimension column
@@ -900,10 +810,7 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
     PlannedGroup pg;
     pg.query_indices = std::move(bg.query_indices);
     std::vector<QueryInterner::Id> to_execute;
-    std::vector<uint8_t> to_execute_live;
-    for (size_t na = 0; na < needed.size(); ++na) {
-      const QueryInterner::Id agg = needed[na];
-      const bool live = needed_live[na] != 0;
+    for (QueryInterner::Id agg : needed) {
       if (use_cache) {
         SliceKey hit_key;
         const CacheEntry* hit = FindCachedIds(agg, plan, dim_literals,
@@ -925,27 +832,12 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
           src.agg_idx = hit->agg_idx;
           auto jit = job_of_cube.find(hit->cube.get());
           if (jit != job_of_cube.end()) src.job = jit->second;
-          if (live && !hit->cube->slice_live(hit->agg_idx)) {
-            if (src.job >= 0) {
-              // The hit is one of this batch's own shells, not yet
-              // executed (the plan phase is serial): flip its mask so the
-              // execution materializes the slice.
-              hit->cube->MarkSliceLive(hit->agg_idx);
-            } else {
-              // A cached cube from an earlier batch skipped this slice;
-              // repair it off-ledger. A failure (fault injection only —
-              // the repair runs ungoverned) is routed through the normal
-              // per-query failure channel so recovery heals it.
-              src.fill = FillInSlice(*hit);
-            }
-          }
           pg.sources[agg] = std::move(src);
           continue;
         }
         ++stats_.cache_misses;
       }
       to_execute.push_back(agg);
-      to_execute_live.push_back(live ? 1 : 0);
     }
 
     if (!to_execute.empty()) {
@@ -977,14 +869,6 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
       CubeJob job;
       job.shell = std::make_shared<CubeResult>(plan.dims, cube_literals,
                                                cube_aggs);
-      if (std::find(to_execute_live.begin(), to_execute_live.end(),
-                    uint8_t{0}) != to_execute_live.end()) {
-        // Some slice has only probe-decided readers: install the liveness
-        // mask. The shell keeps its full aggregate list, so combos, group
-        // keys, and all modeled charges match an unmasked execution; later
-        // cache hits of this batch may still flip slices back to live.
-        job.shell->SetSliceLiveness(to_execute_live);
-      }
       const int job_idx = static_cast<int>(jobs.size());
       job_of_cube[job.shell.get()] = job_idx;
       ++stats_.cube_queries;
@@ -994,7 +878,7 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
         src.agg_idx = a;
         src.job = job_idx;
         pg.sources[to_execute[a]] = std::move(src);
-        if (use_cache && !publish_read_only_) {
+        if (use_cache) {
           SliceKey key{to_execute[a], plan.relation, plan.dimset};
           auto [cit, inserted] =
               fp_cache_.emplace(key, CacheEntry{job.shell, a});
@@ -1034,18 +918,8 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
       if (governor_ != nullptr) {
         job.shell->charges.charged_run = governor_->run_id();
       }
-      stats_.probe_slices_total += job.shell->aggregates().size();
       stats_.probe_slice_rows_total +=
           job.scan.rows_scanned * job.shell->aggregates().size();
-      if (!job.shell->all_slices_live()) {
-        size_t dead = 0;
-        for (size_t a = 0; a < job.shell->aggregates().size(); ++a) {
-          if (!job.shell->slice_live(a)) ++dead;
-        }
-        stats_.probe_slices_skipped += dead;
-        stats_.probe_slice_rows_skipped += job.scan.rows_scanned * dead;
-        if (dead == job.shell->aggregates().size()) ++stats_.probe_jobs_dead;
-      }
       continue;
     }
     for (const SliceKey& key : job.slice_keys) fp_cache_.erase(key);
@@ -1071,25 +945,6 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
         NoteQueryFailure(qi, jobs[static_cast<size_t>(src.job)].status);
         results[qi] = std::nullopt;
         continue;
-      }
-      if (!src.fill.ok()) {
-        // Slice fill-in failed: same degradation path as a failed job, so
-        // recovery re-runs these queries for real.
-        NoteQueryFailure(qi, src.fill);
-        results[qi] = std::nullopt;
-        continue;
-      }
-      if (probe_batch && decided[qi] != 0) {
-        // The probe decided this query and its cube completed cleanly:
-        // settle it. If the slice was materialized anyway (shared with an
-        // undecided query, or an unmasked cached cube) answer for real —
-        // strictly more evidence; otherwise the caller's synthesized
-        // outcome stands.
-        decided_settled_[qi] = 1;
-        if (!src.cube->slice_live(src.agg_idx)) {
-          results[qi] = std::nullopt;
-          continue;
-        }
       }
       results[qi] = AnswerFromCube(interner_.Materialize(ids[qi]),
                                    cq.normalized, *src.cube, src.agg_idx);

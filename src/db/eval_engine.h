@@ -78,25 +78,11 @@ struct EvalStats {
                                   ///< degrade to quarantined partials
   size_t watchdog_flags = 0;      ///< jobs whose slowest morsel exceeded the
                                   ///< stall multiple of the batch median
-  /// Probe-pruning counters (DESIGN.md §17). Slices whose every reader was
-  /// decided by the probe stage skip their aggregation kernels
-  /// (probe_slices_skipped); cached cubes missing a skipped slice that a
-  /// live query later needs are repaired by an off-ledger re-scan
-  /// (probe_fillins, with the repair's rows in probe_fillin_rows — kept out
-  /// of rows_scanned, which stays charge-comparable across pruned and
-  /// unpruned runs).
-  size_t probe_slices_skipped = 0;
-  size_t probe_fillins = 0;
-  size_t probe_fillin_rows = 0;
-  /// Cube jobs whose every slice was probe-decided. Their scans compute
-  /// only group keys and charges (no kernels); the counter sizes the
-  /// remaining headroom for whole-job elision.
-  size_t probe_jobs_dead = 0;
-  /// Kernel-work accounting: slices executed across all cube jobs, and the
-  /// same weighted by the job's scanned rows (a slice's kernel cost is
-  /// proportional to rows). skipped/total is the honest measure of how much
-  /// aggregation work the probe stage eliminated.
-  size_t probe_slices_total = 0;
+  /// Kernel-work accounting: rows scanned times slices, summed over
+  /// completed cube jobs (a slice's kernel cost is proportional to rows).
+  /// probe_slice_rows_skipped is always 0 — the engine never sees a probe
+  /// decision (DESIGN.md §17). Both are kept only because the end-to-end
+  /// benchmark reads them as db.kernel_rows / db.kernel_rows_skipped.
   size_t probe_slice_rows_total = 0;
   size_t probe_slice_rows_skipped = 0;
 
@@ -140,50 +126,6 @@ class EvalEngine {
   /// lazily for the naive strategy and executor fallbacks. Ids must come
   /// from this engine's interner.
   std::vector<std::optional<double>> EvaluateInterned(
-      const std::vector<QueryInterner::Id>& ids);
-
-  /// \brief Probe-aware batch evaluation (DESIGN.md §17).
-  ///
-  /// `decided[i] != 0` marks queries whose outcome the probe stage already
-  /// determined; `decided` must be ids.size() long. Decided queries still
-  /// flow through planning, grouping, cube-shell construction, and cache
-  /// publication exactly like undecided ones — so literal collection, job
-  /// formation, and every modeled governor charge are byte-identical to an
-  /// unflagged batch — but a cube slice needed *only* by decided queries
-  /// skips its aggregation kernel and cell writes. Decided queries whose
-  /// slice is live anyway (shared with an undecided query, or served by an
-  /// unmasked cached cube) are answered for real; the rest return nullopt
-  /// with their decided_settled() flag set, telling the caller its
-  /// synthesized outcome stands. Failure handling (aborted jobs, recovery,
-  /// quarantine) treats decided queries exactly like undecided ones.
-  ///
-  /// The naive strategy has no shared scan to hide a skipped query behind:
-  /// there a decided query is skipped and settled only when no budget is in
-  /// play (governor null or unlimited); under any budget it is evaluated
-  /// for real and left unsettled, so exhaustion points never move.
-  std::vector<std::optional<double>> EvaluateInterned(
-      const std::vector<QueryInterner::Id>& ids,
-      const std::vector<uint8_t>& decided);
-
-  /// Per-query flags from the last EvaluateInterned(ids, decided) call:
-  /// settled[i] != 0 means decided query i reached a completed cube (its
-  /// slice was either answered for real or cleanly skipped), so the
-  /// caller's synthesized outcome may stand. Unsettled decided queries
-  /// (failed or aborted jobs) carry no evidence either way and must degrade
-  /// exactly like an unpruned failure.
-  const std::vector<uint8_t>& decided_settled() const {
-    return decided_settled_;
-  }
-
-  /// \brief Off-ledger evaluation for report backfill (DESIGN.md §17).
-  ///
-  /// Evaluates `ids` with the governor detached and cache publication
-  /// disabled: reads (and slice fill-ins of existing entries) are allowed,
-  /// but no new cache entries appear — a cube executed here was never
-  /// charged, so publishing it would let a later budgeted run hit an entry
-  /// whose charge replay diverges from a cold rebuild. Recovery still runs,
-  /// so chaos faults heal the same way they do on the main path.
-  std::vector<std::optional<double>> EvaluateProbeBackfill(
       const std::vector<QueryInterner::Id>& ids);
 
   /// Evaluates a single query using the engine's strategy (and cache).
@@ -378,28 +320,11 @@ class EvalEngine {
     ScanStats scan;
   };
 
-  /// One executor scan per query. Consumes batch_decided_ (see the naive
-  /// rule on EvaluateInterned(ids, decided)).
+  /// One executor scan per query.
   std::vector<std::optional<double>> EvaluateNaive(
       const std::vector<QueryInterner::Id>& ids);
   std::vector<std::optional<double>> EvaluateMergedIds(
       const std::vector<QueryInterner::Id>& ids, bool use_cache);
-
-  /// Shared body of the EvaluateInterned overloads (timer, version sweep,
-  /// dispatch, recovery). batch_decided_ must already hold this batch's
-  /// probe flags (or be empty).
-  std::vector<std::optional<double>> EvaluateInternedImpl(
-      const std::vector<QueryInterner::Id>& ids);
-
-  /// \brief Off-ledger repair of a cached cube whose slice `entry.agg_idx`
-  /// was skipped by probe pruning but is now needed by a live query.
-  ///
-  /// Re-executes the cube's scan into a fresh shell with only that slice
-  /// live — governor detached, so the repair charges nothing (the cached
-  /// cube's recorded charges already replay in full on hits) — and adopts
-  /// the produced cells into the cached cube. The repair's ScanStats stay
-  /// out of the main counters except probe_fillins / probe_fillin_rows.
-  Status FillInSlice(const CacheEntry& entry);
 
   /// Strategy dispatch without the public wrappers' stats bumping or
   /// recovery pass — the single evaluation primitive both the primary
@@ -536,16 +461,6 @@ class EvalEngine {
   /// number of governor trips.
   std::unordered_map<SliceKey, CacheEntry, SliceKeyHasher> fp_cache_;
   std::unordered_map<uint64_t, std::vector<SliceKey>> fp_cache_order_;
-  // ---- Probe-pruning state (DESIGN.md §17) -----------------------------
-  /// Probe-decided flags staged by EvaluateInterned(ids, decided) and
-  /// consumed (moved out) at EvaluateNaive / EvaluateMergedIds entry, so
-  /// recovery re-runs — which re-enter with a *subset* of the original ids
-  /// — can never observe misaligned flags.
-  std::vector<uint8_t> batch_decided_;
-  std::vector<uint8_t> decided_settled_;  ///< see decided_settled()
-  /// True while EvaluateProbeBackfill runs: cache publication sites are
-  /// skipped (reads and fill-ins of existing entries still happen).
-  bool publish_read_only_ = false;
 
   /// Batch-local scratch for literal collection, epoch-stamped so clearing
   /// between batches is O(touched), not O(interned).

@@ -78,19 +78,20 @@ struct ModelOptions {
 
   /// Verification-aware candidate pruning (DESIGN.md §17): probe each
   /// candidate against column statistics and dictionaries before it enters
-  /// the evaluation batch, and skip the aggregation kernels of cube slices
-  /// every reader of which the probe already decided (the naive strategy
-  /// skips a decided candidate's scan instead, but only when no budget is
-  /// in play). Reports are bit-identical with pruning on or off (the
-  /// probe-pruning differential tests pin this down); the flag only trades
-  /// probe work for evaluation work.
+  /// the evaluation batch, and give a decided candidate its outcome without
+  /// evaluating it. Takes effect only where that skips work: the naive
+  /// (per-candidate) strategy under a governor that limits nothing. Every
+  /// other configuration probes nothing. Reports are bit-identical with
+  /// pruning on or off (the probe-pruning differential tests pin this
+  /// down); the flag only trades probe work for evaluation work.
   bool probe_pruning = true;
 
-  /// Debug/differential mode: run every probe but evaluate all candidates
-  /// for real anyway, counting disagreements between synthesized and real
-  /// outcomes in ProbeStats::probe_conflicts (must be zero — an unsound
-  /// probe bound otherwise). Also cross-checks that fingerprint-equivalent
-  /// candidates never produce diverging results.
+  /// Debug/differential mode: wherever probe_pruning takes effect, run
+  /// every probe but evaluate all candidates for real anyway, counting
+  /// disagreements between synthesized and real outcomes in
+  /// ProbeStats::probe_conflicts (must be zero — an unsound probe bound
+  /// otherwise). Also cross-checks that fingerprint-equivalent candidates
+  /// never produce diverging results.
   bool probe_verify = false;
 
   /// Ranked candidates per claim whose probe-withheld results are

@@ -173,8 +173,7 @@ const CandidateProber::ColumnInfo& CandidateProber::ColumnProbe(
 
 ProbeDecision CandidateProber::Probe(
     const CandidateSpace& space, size_t f, size_t c, size_t s,
-    const rounding::MatchInterval& claim_interval,
-    bool allow_undefined_magnitude, ProbeStats* stats) {
+    const rounding::MatchInterval& claim_interval, ProbeStats* stats) {
   ++stats->candidates_probed;
   // Chaos hook: a faulted probe must degrade to "don't prune" — the
   // candidate evaluates normally and the report stays bit-identical.
@@ -251,14 +250,7 @@ ProbeDecision CandidateProber::Probe(
   // ---- Magnitude family ----------------------------------------------
   // Intersect the aggregate's attainable range with the set of values that
   // can round to the claim; an empty intersection proves matches == false
-  // without knowing the result. Aggregates that can evaluate to
-  // "undefined" are gated (see the header): Count/CountDistinct always
-  // produce a value when their cube completes, so they prune under any
-  // governor.
-  const bool can_be_undefined =
-      fn != db::AggFn::kCount && fn != db::AggFn::kCountDistinct;
-  if (can_be_undefined && !allow_undefined_magnitude) return ProbeDecision{};
-
+  // without knowing the result.
   const ColumnInfo& info = ColumnProbe(space.columns()[c].frag);
   if (!is_star && info.column == nullptr) return ProbeDecision{};
 

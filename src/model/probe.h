@@ -82,13 +82,9 @@ class CandidateProber {
 
   /// Probes candidate (f, c, s) of `space` against `claim_interval` (the
   /// claimed value's matchable interval, see rounding::MatchableInterval).
-  /// `allow_undefined_magnitude` gates the magnitude family for aggregates
-  /// that can evaluate to "undefined" (Sum/Avg/Min/Max, ratio aggregates):
-  /// under a limited governor those prunes would perturb the partial-claim
-  /// marking, so the caller only allows them when no budget is in play.
   ProbeDecision Probe(const CandidateSpace& space, size_t f, size_t c,
                       size_t s, const rounding::MatchInterval& claim_interval,
-                      bool allow_undefined_magnitude, ProbeStats* stats);
+                      ProbeStats* stats);
 
  private:
   /// Cached absence state of one predicate fragment's literal.

@@ -26,11 +26,9 @@ uint64_t TripleKey(size_t f, size_t c, size_t s) {
 struct EvalOutcome {
   std::optional<double> result;
   bool matches = false;
-  /// Probe bookkeeping (DESIGN.md §17): the outcome was synthesized from a
-  /// settled probe decision instead of an evaluation. `probe_no_result`
-  /// marks the magnitude family — matches is provably false but the result
-  /// itself was never computed (the top-k backfill fills it for reports).
-  bool probe_decided = false;
+  /// Synthesized from a magnitude-family probe decision (DESIGN.md §17):
+  /// matches is provably false but the result itself was never computed
+  /// (the top-k backfill fills it for reports).
   bool probe_no_result = false;
 };
 
@@ -321,6 +319,13 @@ TranslationResult Translator::Translate(
   auto is_pinned = [&](size_t i) {
     return pinned != nullptr && i < pinned->size() && (*pinned)[i].has_value();
   };
+  // Whether a result rounds to claim i's value (an undefined one never does).
+  auto matches_claim = [&](size_t i, const std::optional<double>& value) {
+    return value.has_value() &&
+           rounding::Matches(*value, claims[i].claimed_value(),
+                             options_.rounding_mode,
+                             options_.rounding_tolerance);
+  };
   // Evaluate pinned queries once, up front (each a one-query batch, so
   // engine failures attribute to the pinned claim directly).
   std::vector<EvalOutcome> pinned_outcomes(n);
@@ -328,11 +333,7 @@ TranslationResult Translator::Translate(
     if (!is_pinned(i)) continue;
     auto value = engine->Evaluate(*(*pinned)[i]);
     pinned_outcomes[i].result = value;
-    pinned_outcomes[i].matches =
-        value.has_value() &&
-        rounding::Matches(*value, claims[i].claimed_value(),
-                          options_.rounding_mode,
-                          options_.rounding_tolerance);
+    pinned_outcomes[i].matches = matches_claim(i, value);
     if (!absorb_engine_failures(engine, [i](size_t) { return i; })) {
       return result;
     }
@@ -380,11 +381,17 @@ TranslationResult Translator::Translate(
 
   // Verification-aware probe stage (DESIGN.md §17): candidates are probed
   // once (per triple, cached across EM iterations via the outcomes map) as
-  // they enter their first batch. Decided candidates still ship to the
-  // engine, flagged; the engine decides what a flag may skip without
-  // moving charges or reports. In probe_verify mode decisions are recorded
-  // and cross-checked but never acted on, so everything evaluates for real.
-  const bool probing = options_.probe_pruning;
+  // they enter their first batch, and a decided candidate gets its outcome
+  // here instead of being sent to the engine. That skips work only where
+  // execution is per candidate — the naive strategy — and only under a
+  // governor that limits nothing (skipping a scan would otherwise move a
+  // budget's exhaustion point). In probe_verify mode decisions are
+  // recorded and cross-checked but never acted on, so everything evaluates
+  // for real.
+  const bool probing =
+      options_.probe_pruning &&
+      engine->strategy() == db::EvalStrategy::kNaive &&
+      (governor == nullptr || governor->limits().unlimited());
   std::optional<CandidateProber> prober;
   std::vector<rounding::MatchInterval> claim_intervals;
   if (probing) {
@@ -396,12 +403,6 @@ TranslationResult Translator::Translate(
           options_.rounding_tolerance));
     }
   }
-  // Magnitude prunes of aggregates that can evaluate to "undefined" would
-  // perturb the partial-claim marking under a limited governor (an
-  // undefined real result marks the claim partial; a withheld one must
-  // not), so they only run when no budget is in play.
-  const bool allow_undef_magnitude =
-      governor == nullptr || governor->limits().unlimited();
   // probe_verify cross-check: fingerprint-equivalent candidates (same
   // interned id, any claim, any iteration) must never disagree on results.
   std::unordered_map<db::QueryInterner::Id, std::optional<double>>
@@ -444,99 +445,66 @@ TranslationResult Translator::Translate(
     });
 
     // RefineByEval: evaluate all newly selected candidates in one batch so
-    // the engine can merge across claims (§6.2).
+    // the engine can merge across claims (§6.2). A probe-decided candidate
+    // takes its synthesized outcome here and stays out of the batch.
     std::vector<db::QueryInterner::Id> id_batch;
     std::vector<std::pair<size_t, uint64_t>> batch_owner;
-    std::vector<uint8_t> decided_batch;
-    std::vector<ProbeDecision> probe_batch;
+    std::vector<ProbeDecision> verify_batch;  // probe_verify only
     for (size_t i = 0; i < n; ++i) {
       for (const ScoredTriple& t : selections[i]) {
         uint64_t key = TripleKey(t.f, t.c, t.s);
         if (outcomes[i].count(key) > 0) continue;
+        ++result.queries_evaluated;
+        // Inserting reserves the triple, so it is never enqueued twice.
+        EvalOutcome& outcome = outcomes[i][key];
         ProbeDecision d;
         if (probing) {
           Timer probe_timer;
           d = prober->Probe(*spaces[i], t.f, t.c, t.s, claim_intervals[i],
-                            allow_undef_magnitude, &result.probe_stats);
+                            &result.probe_stats);
           result.probe_stats.probe_seconds += probe_timer.ElapsedSeconds();
         }
-        id_batch.push_back(encoder_for(i).Encode(t.f, t.c, t.s));
-        if (probing) {
-          decided_batch.push_back(d.decided && !options_.probe_verify ? 1 : 0);
-          probe_batch.push_back(d);
+        if (d.decided && !options_.probe_verify) {
+          // The magnitude family leaves known_result empty: no result,
+          // provably no match.
+          outcome.result = d.known_result;
+          outcome.matches = matches_claim(i, outcome.result);
+          outcome.probe_no_result = d.no_result;
+          continue;
         }
+        id_batch.push_back(encoder_for(i).Encode(t.f, t.c, t.s));
+        if (probing && options_.probe_verify) verify_batch.push_back(d);
         batch_owner.emplace_back(i, key);
-        outcomes[i][key] = EvalOutcome{};  // reserve to avoid dup enqueues
       }
     }
     if (!batch_owner.empty()) {
-      result.queries_evaluated += batch_owner.size();
-      auto results = probing && !options_.probe_verify
-                         ? engine->EvaluateInterned(id_batch, decided_batch)
-                         : engine->EvaluateInterned(id_batch);
+      auto results = engine->EvaluateInterned(id_batch);
       if (!absorb_engine_failures(engine, [&](size_t b) {
             return batch_owner[std::min(b, batch_owner.size() - 1)].first;
           })) {
         return result;
       }
-      const std::vector<uint8_t>& settled = engine->decided_settled();
       for (size_t b = 0; b < batch_owner.size(); ++b) {
         auto [claim_idx, key] = batch_owner[b];
-        EvalOutcome& outcome = outcomes[claim_idx][key];
-        const ProbeDecision* pd =
-            probing && probe_batch[b].decided ? &probe_batch[b] : nullptr;
-        if (options_.probe_verify && probing) {
+        if (!verify_batch.empty()) {
           // Consistency: fingerprint-equivalent candidates must agree.
           auto [vit, fresh] = verify_results.emplace(id_batch[b], results[b]);
           if (!fresh && !SameResult(vit->second, results[b])) {
             ++result.probe_stats.probe_conflicts;
           }
-          if (pd != nullptr) {
-            // Soundness: the synthesized outcome must agree with the real
-            // one — the exact result for the empty-domain family, a
-            // non-matching result for the magnitude family.
-            bool conflict =
-                pd->no_result
-                    ? (results[b].has_value() &&
-                       rounding::Matches(*results[b],
-                                         claims[claim_idx].claimed_value(),
-                                         options_.rounding_mode,
-                                         options_.rounding_tolerance))
-                    : !SameResult(pd->known_result, results[b]);
-            if (conflict) ++result.probe_stats.probe_conflicts;
+          const ProbeDecision& pd = verify_batch[b];
+          // Soundness: the synthesized outcome must agree with the real
+          // one — the exact result for the empty-domain family, a
+          // non-matching result for the magnitude family.
+          if (pd.decided && (pd.no_result
+                                 ? matches_claim(claim_idx, results[b])
+                                 : !SameResult(pd.known_result, results[b]))) {
+            ++result.probe_stats.probe_conflicts;
           }
         }
-        // The engine's evaluation wins whenever it produced a value (the
-        // slice was live anyway, or recovery healed it); the synthesized
-        // outcome stands only for settled decided queries whose slice was
-        // cleanly skipped. Unsettled decided queries (failed/aborted cube)
-        // degrade exactly like an unpruned failure.
-        if (pd != nullptr && !options_.probe_verify &&
-            !results[b].has_value() && b < settled.size() &&
-            settled[b] != 0) {
-          outcome.probe_decided = true;
-          if (pd->no_result) {
-            outcome.probe_no_result = true;
-            outcome.result = std::nullopt;
-            outcome.matches = false;
-          } else {
-            outcome.result = pd->known_result;
-            outcome.matches =
-                outcome.result.has_value() &&
-                rounding::Matches(*outcome.result,
-                                  claims[claim_idx].claimed_value(),
-                                  options_.rounding_mode,
-                                  options_.rounding_tolerance);
-          }
-          continue;
-        }
+        EvalOutcome& outcome = outcomes[claim_idx][key];
         outcome.result = results[b];
-        outcome.matches =
-            results[b].has_value() &&
-            rounding::Matches(*results[b],
-                              claims[claim_idx].claimed_value(),
-                              options_.rounding_mode,
-                              options_.rounding_tolerance);
+        outcome.matches = matches_claim(claim_idx, results[b]);
       }
     }
 
@@ -602,10 +570,7 @@ TranslationResult Translator::Translate(
       }
       for (const ScoredTriple& t : selections[i]) {
         auto it = outcomes[i].find(TripleKey(t.f, t.c, t.s));
-        // A probe-decided no-result outcome is a *concrete* verdict (matches
-        // provably false), not an aborted scan — it never marks partial.
-        if (it == outcomes[i].end() || (!it->second.result.has_value() &&
-                                        !it->second.probe_no_result)) {
+        if (it == outcomes[i].end() || !it->second.result.has_value()) {
           result.partial[i] = true;
           break;
         }
@@ -661,9 +626,10 @@ TranslationResult Translator::Translate(
 
   // Top-k backfill (DESIGN.md §17): magnitude-pruned candidates that made
   // it into the reported head of a distribution carry no result; evaluate
-  // them for real so reports show actual values. Off-ledger by contract —
-  // EvaluateProbeBackfill charges no governor and publishes no new cache
-  // entries — so later claims and re-checks see identical state either way.
+  // them for real so reports show actual values. Off-ledger by contract:
+  // the governor is detached, so the backfill charges nothing, and the
+  // naive strategy publishes no cube slices, so later claims and re-checks
+  // see identical state either way.
   if (probing && !options_.probe_verify) {
     std::vector<db::QueryInterner::Id> back_ids;
     std::vector<std::pair<size_t, size_t>> back_owner;  // (claim, rank)
@@ -681,7 +647,9 @@ TranslationResult Translator::Translate(
     }
     if (!back_owner.empty()) {
       Timer backfill_timer;
-      auto back = engine->EvaluateProbeBackfill(back_ids);
+      engine->SetGovernor(nullptr);
+      auto back = engine->EvaluateInterned(back_ids);
+      engine->SetGovernor(governor);
       // The backfill is best-effort cosmetics: failures leave the (already
       // correct) probe verdict in place, and must not leak into this run's
       // recovery/error ledgers.
@@ -692,11 +660,7 @@ TranslationResult Translator::Translate(
         auto [claim_idx, rank] = back_owner[b];
         RankedCandidate& cand = result.distributions[claim_idx].ranked[rank];
         cand.result = back[b];
-        cand.matches =
-            back[b].has_value() &&
-            rounding::Matches(*back[b], claims[claim_idx].claimed_value(),
-                              options_.rounding_mode,
-                              options_.rounding_tolerance);
+        cand.matches = matches_claim(claim_idx, back[b]);
         ++result.probe_stats.backfilled;
       }
       result.probe_stats.probe_seconds += backfill_timer.ElapsedSeconds();

@@ -91,8 +91,9 @@ struct TranslationResult {
   /// translation) — extra re-checks are sound, missed invalidations are
   /// not. Empty for claims whose space references no table.
   std::vector<std::vector<std::string>> dependency_tables;
-  /// Verification-aware probe counters (DESIGN.md §17); all-zero when
-  /// ModelOptions::probe_pruning is off.
+  /// Verification-aware probe counters (DESIGN.md §17); all-zero unless
+  /// ModelOptions::probe_pruning is on, the engine runs the naive strategy
+  /// and the governor (if any) is unlimited.
   ProbeStats probe_stats;
 };
 

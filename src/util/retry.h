@@ -47,9 +47,6 @@ struct RecoveryOptions {
   bool enabled = true;
   /// Same-rung retry schedule for transient (Status::IsTransient) errors.
   RetryPolicy retry;
-  /// Descend the fallback ladder after retries are exhausted. When false,
-  /// failing queries go straight to quarantine.
-  bool fallback_ladder = true;
   /// A merged-batch job whose slowest morsel exceeds this multiple of the
   /// batch's median morsel wall-time is flagged (EvalStats::watchdog_flags).
   /// Measurement-only and wall-clock based — never part of determinism

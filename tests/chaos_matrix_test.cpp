@@ -222,7 +222,11 @@ TEST(ChaosMatrixTest, EveryManifestPointArmedAtFullRate) {
   // Points whose faulted feature degrades in place instead of descending
   // the ladder: a faulted candidate probe simply declines to prune, so the
   // run completes fault-free and bit-identical with no recovery trace.
+  // Only the naive strategy probes, so these arms — and the fault-free
+  // reference they are compared with — run naive.
   const std::set<std::string> degrades_in_place = {"translator.probe"};
+  core::CheckOptions naive_options = FastRecoveryOptions();
+  naive_options.strategy = db::EvalStrategy::kNaive;
 
   for (size_t a = 0; a < sample; ++a) {
     const corpus::CorpusCase& article = articles[a];
@@ -230,6 +234,11 @@ TEST(ChaosMatrixTest, EveryManifestPointArmedAtFullRate) {
     ASSERT_TRUE(reference.status.ok())
         << article.name << ": " << reference.status.ToString();
     const std::string reference_fp = VerdictFingerprint(reference.report);
+    const RunOutcome naive_reference = RunArticle(article, naive_options);
+    ASSERT_TRUE(naive_reference.status.ok())
+        << article.name << ": " << naive_reference.status.ToString();
+    const std::string naive_reference_fp =
+        VerdictFingerprint(naive_reference.report);
 
     for (const std::string& point : fi::ManifestPoints()) {
       if (point == "csv.row" || point == "join.materialize" ||
@@ -241,8 +250,10 @@ TEST(ChaosMatrixTest, EveryManifestPointArmedAtFullRate) {
                    // RunArticle never loads a snapshot (the snapshot map
                    // fault has its own rebuild-fallback test below)
       }
+      const bool in_place = degrades_in_place.count(point) > 0;
       fi::Arm(point);
-      RunOutcome outcome = RunArticle(article, FastRecoveryOptions());
+      RunOutcome outcome =
+          RunArticle(article, in_place ? naive_options : FastRecoveryOptions());
       const uint64_t hits = fi::HitCount(point);
       fi::DisarmAll();
 
@@ -265,12 +276,12 @@ TEST(ChaosMatrixTest, EveryManifestPointArmedAtFullRate) {
             << article.name << " / " << point << " never engaged the ladder";
         EXPECT_GT(outcome.report.eval_stats.queries_recovered, 0u)
             << article.name << " / " << point << " recorded no recovery";
-      } else if (degrades_in_place.count(point) > 0) {
+      } else if (in_place) {
         ASSERT_TRUE(outcome.status.ok())
             << article.name << " / " << point
             << " should have degraded in place: "
             << outcome.status.ToString();
-        EXPECT_EQ(VerdictFingerprint(outcome.report), reference_fp)
+        EXPECT_EQ(VerdictFingerprint(outcome.report), naive_reference_fp)
             << article.name << " / " << point
             << ": degraded verdicts must be bit-identical to the reference";
         EXPECT_EQ(outcome.report.NumQuarantined(), 0u)

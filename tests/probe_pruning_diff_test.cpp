@@ -1,11 +1,14 @@
-// Verification-aware candidate pruning (DESIGN.md §17): reports with
-// model.probe_pruning on must be bit-identical (FleetVerdictFingerprint) to the
-// unpruned reference, with equal governor charge totals, across the
-// embedded article corpus, thread counts, budgets, and ingestion-mutated
-// databases. Also pins the probe_verify zero-conflict contract (an unsound
-// probe bound shows up here before it can ever flip a verdict) and the
-// stale-stats regression: a probe decision must never outlive the
-// data-version bump that invalidates it.
+// Verification-aware candidate pruning (DESIGN.md §17): the probe runs only
+// where a decision skips work — the naive (per-candidate) strategy under a
+// governor that limits nothing. Reports with model.probe_pruning on must be
+// bit-identical (FleetVerdictFingerprint) to the unpruned reference across
+// the embedded article corpus, thread counts, budgets, strategies, and
+// ingestion-mutated databases. Every other configuration must probe nothing
+// and charge exactly what the unpruned run charges. Also pins the
+// probe_verify zero-conflict contract (an unsound probe bound shows up here
+// before it can ever flip a verdict) and the stale-stats regression: a
+// probe decision must never outlive the data-version bump that invalidates
+// it.
 
 #include <gtest/gtest.h>
 
@@ -35,9 +38,11 @@ struct RunOutcome {
 /// both sides translate over the identical fragment space.
 RunOutcome RunOnce(const db::Database* db, const text::TextDocument& doc,
                    bool pruning, size_t threads, uint64_t budget,
+                   db::EvalStrategy strategy = db::EvalStrategy::kNaive,
                    std::shared_ptr<const fragments::FragmentCatalog> catalog =
                        nullptr) {
   core::CheckOptions options;
+  options.strategy = strategy;
   options.model.probe_pruning = pruning;
   options.model.num_threads = threads;
   options.governor.max_row_scans = budget;
@@ -82,30 +87,81 @@ void ExpectChargeParity(const core::CheckReport& pruned,
       << where;
 }
 
-// The tentpole sweep: every embedded article, 1/2/8 threads, with and
-// without a row-scan budget. Pruned and unpruned verdicts bit-identical,
-// charge totals equal.
+// An unbudgeted naive run skips the scans of decided candidates, and a
+// skipped scan is never charged, so pruning lowers the rows charged
+// whenever it decided anything. (Exact parity never held here; a budget
+// would make the probe stand down, see ExpectChargeParity.)
+void ExpectFewerRowsWhenPruned(const core::CheckReport& pruned,
+                               const core::CheckReport& reference,
+                               const std::string& where) {
+  if (pruned.probe_stats.candidates_pruned > 0) {
+    EXPECT_LT(pruned.governor_usage.rows_charged,
+              reference.governor_usage.rows_charged)
+        << where;
+  } else {
+    EXPECT_EQ(pruned.governor_usage.rows_charged,
+              reference.governor_usage.rows_charged)
+        << where;
+  }
+  EXPECT_FALSE(pruned.governor_usage.exhausted) << where;
+}
+
+// The corpus sweep: every embedded article, naive and merged+cached, 1/2/8
+// threads, with and without a row-scan budget. Pruned and unpruned verdicts
+// are bit-identical wherever a run reproduces itself. Only the unbudgeted
+// naive arm probes; every other arm must probe nothing and charge exactly
+// what the unpruned run charges.
 TEST(ProbePruningDiffTest, BitIdenticalAcrossCorpusThreadsAndBudgets) {
   auto articles = corpus::EmbeddedArticles();
   ASSERT_FALSE(articles.empty());
   for (const corpus::CorpusCase& article : articles) {
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      for (uint64_t budget : {uint64_t{0}, uint64_t{20'000}}) {
-        RunOutcome pruned = RunOnce(&article.database, article.document,
-                                    /*pruning=*/true, threads, budget);
-        RunOutcome reference = RunOnce(&article.database, article.document,
-                                       /*pruning=*/false, threads, budget);
-        std::string where = article.name + " threads=" +
-                            std::to_string(threads) +
-                            " budget=" + std::to_string(budget);
-        EXPECT_EQ(pruned.fingerprint, reference.fingerprint) << where;
-        ExpectChargeParity(pruned.report, reference.report, where, threads);
-        EXPECT_EQ(pruned.report.NumPartial(), reference.report.NumPartial())
-            << where;
-        // The unpruned reference never probes; the pruned run always does
-        // (probing is cheap — pruning is opportunistic).
-        EXPECT_EQ(reference.report.probe_stats.candidates_probed, 0u);
-        EXPECT_GT(pruned.report.probe_stats.candidates_probed, 0u) << where;
+    for (db::EvalStrategy strategy :
+         {db::EvalStrategy::kNaive, db::EvalStrategy::kMergedCached}) {
+      for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+        for (uint64_t budget : {uint64_t{0}, uint64_t{20'000}}) {
+          RunOutcome pruned =
+              RunOnce(&article.database, article.document,
+                      /*pruning=*/true, threads, budget, strategy);
+          RunOutcome reference =
+              RunOnce(&article.database, article.document,
+                      /*pruning=*/false, threads, budget, strategy);
+          std::string where =
+              article.name + " " + db::EvalStrategyName(strategy) +
+              " threads=" + std::to_string(threads) +
+              " budget=" + std::to_string(budget);
+          // When a budget trips while several threads run naive scans, the
+          // interleaving decides which scans finished first: such a run
+          // does not even reproduce itself (DESIGN.md §9 weakens the
+          // contract to documented outcomes under trips). Its verdicts are
+          // compared only where they are deterministic.
+          const bool reproducible =
+              strategy != db::EvalStrategy::kNaive || threads == 1 ||
+              !reference.report.governor_usage.exhausted;
+          if (reproducible) {
+            EXPECT_EQ(pruned.fingerprint, reference.fingerprint) << where;
+            EXPECT_EQ(pruned.report.NumPartial(),
+                      reference.report.NumPartial())
+                << where;
+          }
+          for (const core::ClaimVerdict& v : pruned.report.verdicts) {
+            EXPECT_FALSE(v.partial && v.likely_erroneous) << where;
+          }
+          // The unpruned reference never probes.
+          EXPECT_EQ(reference.report.probe_stats.candidates_probed, 0u);
+          const model::ProbeStats& probes = pruned.report.probe_stats;
+          if (strategy == db::EvalStrategy::kNaive && budget == 0) {
+            EXPECT_GT(probes.candidates_probed, 0u) << where;
+            ExpectFewerRowsWhenPruned(pruned.report, reference.report,
+                                      where);
+            continue;
+          }
+          EXPECT_EQ(probes.candidates_probed, 0u) << where;
+          EXPECT_EQ(probes.backfilled, 0u) << where;
+          EXPECT_EQ(pruned.report.eval_stats.probe_slice_rows_skipped, 0u)
+              << where;
+          ExpectChargeParity(pruned.report, reference.report, where,
+                             threads);
+        }
       }
     }
   }
@@ -128,9 +184,8 @@ TEST(ProbePruningDiffTest, BitIdenticalOnGeneratedFleetCorpus) {
           RunOnce(&c.database, c.document, /*pruning=*/false, threads, 0);
       EXPECT_EQ(pruned.fingerprint, reference.fingerprint)
           << c.name << " threads=" << threads;
-      ExpectChargeParity(pruned.report, reference.report,
-                         c.name + " threads=" + std::to_string(threads),
-                         threads);
+      ExpectFewerRowsWhenPruned(pruned.report, reference.report,
+                                c.name + " threads=" + std::to_string(threads));
       total_probed += pruned.report.probe_stats.candidates_probed;
     }
   }
@@ -145,19 +200,16 @@ TEST(ProbePruningDiffTest, VerifyModeFindsNoConflicts) {
   ASSERT_FALSE(articles.empty());
   size_t total_probed = 0;
   for (const corpus::CorpusCase& article : articles) {
-    for (bool naive : {false, true}) {
-      core::CheckOptions options;
-      options.model.probe_verify = true;
-      if (naive) options.strategy = db::EvalStrategy::kNaive;
-      auto checker = core::AggChecker::Create(&article.database, options);
-      ASSERT_TRUE(checker.ok());
-      auto report = checker->Check(article.document);
-      ASSERT_TRUE(report.ok());
-      EXPECT_EQ(report->probe_stats.probe_conflicts, 0u)
-          << article.name << (naive ? " (naive)" : "")
-          << ": synthesized and real outcomes disagreed";
-      total_probed += report->probe_stats.candidates_probed;
-    }
+    core::CheckOptions options;
+    options.strategy = db::EvalStrategy::kNaive;
+    options.model.probe_verify = true;
+    auto checker = core::AggChecker::Create(&article.database, options);
+    ASSERT_TRUE(checker.ok());
+    auto report = checker->Check(article.document);
+    ASSERT_TRUE(report.ok());
+    EXPECT_EQ(report->probe_stats.probe_conflicts, 0u)
+        << article.name << ": synthesized and real outcomes disagreed";
+    total_probed += report->probe_stats.candidates_probed;
   }
   EXPECT_GT(total_probed, 0u);
 }
@@ -173,6 +225,7 @@ TEST(ProbePruningDiffTest, PrunesAndBackfillsHonestly) {
   size_t total_pruned = 0;
   for (const corpus::CorpusCase& article : articles) {
     core::CheckOptions options;
+    options.strategy = db::EvalStrategy::kNaive;
     auto checker = core::AggChecker::Create(&article.database, options);
     ASSERT_TRUE(checker.ok());
     auto report = checker->Check(article.document);
@@ -228,14 +281,20 @@ TEST(ProbePruningDiffTest, IngestionInvalidatesProbeDecisions) {
   ASSERT_TRUE(corpus::AppendSyntheticRows(&database, table_name, 16).ok());
 
   for (size_t threads : {size_t{1}, size_t{2}}) {
-    RunOutcome pruned = RunOnce(&database, article.document,
-                                /*pruning=*/true, threads, 0, catalog);
-    RunOutcome reference = RunOnce(&database, article.document,
-                                   /*pruning=*/false, threads, 0, catalog);
+    RunOutcome pruned =
+        RunOnce(&database, article.document, /*pruning=*/true, threads, 0,
+                db::EvalStrategy::kNaive, catalog);
+    RunOutcome reference =
+        RunOnce(&database, article.document, /*pruning=*/false, threads, 0,
+                db::EvalStrategy::kNaive, catalog);
     EXPECT_EQ(pruned.fingerprint, reference.fingerprint)
         << "threads=" << threads;
-    ExpectChargeParity(pruned.report, reference.report,
-                       "mutated threads=" + std::to_string(threads), threads);
+    ExpectFewerRowsWhenPruned(pruned.report, reference.report,
+                              "mutated threads=" + std::to_string(threads));
+    // The orphaned catalog literals must be domain-pruned: this is the one
+    // test that exercises the empty-domain family.
+    EXPECT_GT(pruned.report.probe_stats.pruned_domain, 0u)
+        << "threads=" << threads;
   }
 }
 
@@ -244,7 +303,9 @@ TEST(ProbePruningDiffTest, IngestionInvalidatesProbeDecisions) {
 // on the mutated data.
 TEST(ProbePruningDiffTest, ReCheckWithPruningMatchesUnprunedScratch) {
   corpus::CorpusCase article = corpus::MakeDonationsJoinCase();
-  auto warm = core::AggChecker::Create(&article.database, {});
+  core::CheckOptions options;
+  options.strategy = db::EvalStrategy::kNaive;
+  auto warm = core::AggChecker::Create(&article.database, options);
   ASSERT_TRUE(warm.ok());
   auto prior = warm->Check(article.document);
   ASSERT_TRUE(prior.ok());
@@ -253,18 +314,20 @@ TEST(ProbePruningDiffTest, ReCheckWithPruningMatchesUnprunedScratch) {
       corpus::AppendSyntheticRows(&article.database, "gifts", 12).ok());
   auto recheck = warm->ReCheck(article.document, *prior);
   ASSERT_TRUE(recheck.ok());
+  EXPECT_GT(prior->probe_stats.candidates_probed, 0u);
 
   RunOutcome reference =
       RunOnce(&article.database, article.document, /*pruning=*/false, 1, 0,
-              warm->shared_catalog());
+              db::EvalStrategy::kNaive, warm->shared_catalog());
   EXPECT_EQ(core::FleetVerdictFingerprint(*recheck), reference.fingerprint);
 }
 
 // The naive strategy has no shared scan to hide a decided candidate
-// behind, so the engine skips a settled candidate's scan outright — but
+// behind, so the translator skips a decided candidate's scan outright — but
 // only under an unlimited governor, where it must stay bit-identical to
-// the unpruned run. Under any budget every candidate is evaluated for
-// real, so charges (and with them exhaustion points) match exactly.
+// the unpruned run. Under any budget nothing is probed and every candidate
+// is evaluated for real, so charges (and with them exhaustion points)
+// match exactly.
 TEST(ProbePruningDiffTest, NaiveSkipsDecidedOnlyWhenUnbudgeted) {
   corpus::CorpusCase article = corpus::MakeNflCase();
 
@@ -287,15 +350,16 @@ TEST(ProbePruningDiffTest, NaiveSkipsDecidedOnlyWhenUnbudgeted) {
     ASSERT_TRUE(reference_report.ok());
 
     const std::string where = "budget=" + std::to_string(budget);
-    EXPECT_GT(pruned_report->probe_stats.candidates_pruned, 0u) << where;
     EXPECT_EQ(core::FleetVerdictFingerprint(*pruned_report),
               core::FleetVerdictFingerprint(*reference_report))
         << where;
     if (budget == 0) {
       // Skipped scans are never charged.
+      EXPECT_GT(pruned_report->probe_stats.candidates_pruned, 0u) << where;
       EXPECT_LT(pruned_report->governor_usage.rows_charged,
                 reference_report->governor_usage.rows_charged);
     } else {
+      EXPECT_EQ(pruned_report->probe_stats.candidates_probed, 0u) << where;
       ExpectChargeParity(*pruned_report, *reference_report, where);
     }
   }

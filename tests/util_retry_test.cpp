@@ -42,7 +42,6 @@ TEST(RetryTest, CustomMultiplierAndCap) {
 TEST(RetryTest, RecoveryOptionsDefaultsMatchDesign) {
   RecoveryOptions options;
   EXPECT_TRUE(options.enabled);
-  EXPECT_TRUE(options.fallback_ladder);
   EXPECT_EQ(options.retry.max_attempts, 3u);
   EXPECT_DOUBLE_EQ(options.watchdog_stall_multiple, 32.0);
 }
