@@ -41,7 +41,7 @@ int main() {
     double total = 0, query = 0, join = 0;
     size_t joins_built = 0, join_cache_hits = 0;
     size_t recovery_retries = 0, ladder_descents = 0;
-    size_t claims_recovered = 0, claims_quarantined = 0, watchdog_flags = 0;
+    size_t claims_recovered = 0, claims_quarantined = 0;
   };
   RowResult rows[] = {
       {"Naive", db::EvalStrategy::kNaive, "paper 2587s total / 2415s query"},
@@ -64,17 +64,15 @@ int main() {
     row.ladder_descents = result.ladder_descents;
     row.claims_recovered = result.claims_recovered;
     row.claims_quarantined = result.claims_quarantined;
-    row.watchdog_flags = result.watchdog_flags;
     std::printf("%-18s total=%7.2fs  query=%7.2fs  cubes=%zu  "
                 "cache_hits=%zu  joins=%zu (hits %zu)   %s\n",
                 row.label, row.total, row.query, result.cube_queries,
                 result.cache_hits, result.joins_built,
                 result.join_cache_hits, row.paper);
     std::printf("%-18s recovery: retries=%zu descents=%zu recovered=%zu "
-                "quarantined=%zu watchdog_flags=%zu\n",
+                "quarantined=%zu\n",
                 "", row.recovery_retries, row.ladder_descents,
-                row.claims_recovered, row.claims_quarantined,
-                row.watchdog_flags);
+                row.claims_recovered, row.claims_quarantined);
   }
   std::printf("\nquery-time speedups: merging x%.1f, caching x%.1f, "
               "accumulated x%.1f (paper: x61.9, x2.1, x129.9)\n",
@@ -128,12 +126,12 @@ int main() {
                    "\"joins_built\": %zu, \"join_cache_hits\": %zu, "
                    "\"recovery\": {\"retries\": %zu, \"ladder_descents\": "
                    "%zu, \"claims_recovered\": %zu, \"claims_quarantined\": "
-                   "%zu, \"watchdog_flags\": %zu}}%s\n",
+                   "%zu}}%s\n",
                    rows[i].label, rows[i].total, rows[i].query, rows[i].join,
                    rows[i].joins_built, rows[i].join_cache_hits,
                    rows[i].recovery_retries, rows[i].ladder_descents,
                    rows[i].claims_recovered, rows[i].claims_quarantined,
-                   rows[i].watchdog_flags, i + 1 < 3 ? "," : "");
+                   i + 1 < 3 ? "," : "");
     }
     std::fprintf(out, "  ],\n  ");
     // The sweep requests up to 4 threads; the report records what the

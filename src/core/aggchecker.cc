@@ -1,12 +1,13 @@
 #include "core/aggchecker.h"
 
-#include "core/fault_domain.h"
 #include "util/fault_injection.h"
 #include "util/timer.h"
 
 namespace aggchecker {
 namespace core {
+namespace {
 
+/// Assembles per-claim verdicts from a translation result.
 std::vector<ClaimVerdict> AssembleVerdicts(
     const std::vector<claims::Claim>& detected,
     const model::TranslationResult& translation, size_t top_k) {
@@ -39,6 +40,8 @@ std::vector<ClaimVerdict> AssembleVerdicts(
   return verdicts;
 }
 
+}  // namespace
+
 Result<AggChecker> AggChecker::Create(const db::Database* db,
                                       CheckOptions options) {
   if (db == nullptr || db->num_tables() == 0) {
@@ -59,9 +62,6 @@ Result<AggChecker> AggChecker::Create(const db::Database* db,
   checker.engine_ =
       std::make_shared<db::EvalEngine>(db, checker.options_.strategy);
   checker.engine_->SetCubeExecMode(checker.options_.cube_exec);
-  if (!checker.options_.relation_cache) {
-    checker.engine_->SetRelationCache(nullptr);
-  }
   checker.engine_->SetRecovery(checker.options_.recovery);
   // num_threads == 1 keeps the engine pool-free (the exact serial path);
   // 0 sizes the pool to the hardware. Results are identical either way.
@@ -96,14 +96,14 @@ class GovernorScope {
 Result<CheckReport> AggChecker::Check(const text::TextDocument& doc) {
   AGG_FAULT_POINT("check.run");
   // Claim detection (§3); everything downstream of the detected list is
-  // shared with ReCheck through CheckDetected.
+  // the shared pipeline in CheckDetected.
   claims::ClaimDetector detector(options_.detector);
-  return CheckDetected(doc, detector.Detect(doc), options_.model);
+  return CheckDetected(doc, detector.Detect(doc), nullptr);
 }
 
 Result<CheckReport> AggChecker::CheckDetected(
-    const text::TextDocument& doc, std::vector<claims::Claim> detected,
-    const model::ModelOptions& model) {
+    const text::TextDocument& doc, const std::vector<claims::Claim>& detected,
+    const std::vector<std::optional<db::SimpleAggregateQuery>>* pinned) {
   Timer timer;
   CheckReport report;
 
@@ -115,31 +115,30 @@ Result<CheckReport> AggChecker::CheckDetected(
   // Keyword matching (Algorithm 1).
   claims::KeywordExtractor extractor(options_.context);
   claims::RelevanceScorer scorer(catalog_.get(), extractor,
-                                 model.lucene_hits);
+                                 options_.model.lucene_hits);
   std::vector<claims::ClaimRelevance> relevance =
       scorer.ScoreAll(doc, detected);
 
-  // EM translation with candidate evaluations (Algorithms 3 and 4), inside
-  // the run-level fault domain: per-query faults are healed or quarantined
-  // by the engine's recovery pass; what surfaces here are run-level faults
-  // with no owning query, retried while transient. Engine caches persist
-  // across attempts (failed scans are never cached, so re-runs are safe).
-  model::ModelOptions effective_model = model;
-  // Every reported candidate must show a real result: raise the backfill
-  // cover to the report depth.
-  effective_model.probe_backfill_top_k =
-      std::max(effective_model.probe_backfill_top_k, options_.report_top_k);
-  model::Translator translator(db_, catalog_.get(), effective_model);
-  model::TranslationResult translation;
-  RetryPolicy run_policy = options_.recovery.retry;
-  if (!options_.recovery.enabled) run_policy.max_attempts = 1;
-  FaultDomain run_domain(run_policy);
-  Status run_status = run_domain.Run([&] {
-    translation = translator.Translate(detected, relevance, engine_.get());
-    return translation.status;
-  });
-  report.run_attempts = run_domain.record().attempts;
-  if (!run_status.ok()) return run_status;
+  // EM translation with candidate evaluations (Algorithms 3 and 4).
+  // Per-query faults are healed or quarantined by the engine's recovery
+  // pass; what surfaces here are run-level faults with no owning query,
+  // retried while transient. Engine caches persist across attempts (failed
+  // scans are never cached, so re-runs are safe). Every reported candidate
+  // must show a real result, so the top-k backfill covers the report depth.
+  model::Translator translator(db_, catalog_.get(), options_.model);
+  auto translate = [&] {
+    return translator.Translate(detected, relevance, engine_.get(), pinned,
+                                options_.report_top_k);
+  };
+  const uint32_t max_attempts =
+      options_.recovery.enabled ? options_.recovery.retry.max_attempts : 1;
+  model::TranslationResult translation = translate();
+  while (translation.status.IsTransient() &&
+         report.run_attempts < max_attempts) {
+    SleepForBackoff(options_.recovery.retry, report.run_attempts++);
+    translation = translate();
+  }
+  if (!translation.status.ok()) return translation.status;
 
   report.verdicts =
       AssembleVerdicts(detected, translation, options_.report_top_k);
@@ -186,29 +185,27 @@ Result<CheckReport> AggChecker::ReCheck(const text::TextDocument& doc,
 
   const size_t n = detected.size();
 
-  // A claim needs re-checking iff some dependency table moved past the
-  // version stamped at check time. Claims with no dependencies read no
-  // table and splice forever.
-  std::vector<bool> changed(n, false);
-  size_t num_changed = 0;
-  for (size_t i = 0; i < n; ++i) {
+  // The prior report still stands iff no claim's dependency table moved
+  // past the version stamped at check time. Claims with no dependencies
+  // read no table and splice forever.
+  bool changed = false;
+  for (size_t i = 0; i < n && !changed; ++i) {
     for (const auto& dep : prior.verdicts[i].dependencies) {
       if (db_->TableVersion(dep.first) != dep.second) {
-        changed[i] = true;
+        changed = true;
         break;
       }
     }
-    if (!changed[i]) {
-      // Chaos hook: a faulted splice degrades the claim to a full
-      // re-evaluation — correctness never depends on splicing working.
+    if (!changed) {
+      // Chaos hook: a faulted splice degrades to a full re-evaluation —
+      // correctness never depends on splicing working.
       Status splice_status = Status::OK();
       AGG_FAULT_POINT_STATUS("eval.recheck.splice", splice_status);
-      if (!splice_status.ok()) changed[i] = true;
+      if (!splice_status.ok()) changed = true;
     }
-    num_changed += changed[i] ? 1 : 0;
   }
 
-  if (num_changed == 0) {
+  if (!changed) {
     // Nothing a changed table can reach: the entire prior report is still
     // the answer. No evaluation, no governor, no translation.
     CheckReport report;
@@ -223,51 +220,14 @@ Result<CheckReport> AggChecker::ReCheck(const text::TextDocument& doc,
     return report;
   }
 
-  if (options_.model.use_priors || !options_.governor.unlimited()) {
-    // Document-wide coupling is in play: learned priors tie every claim's
-    // distribution to every other claim's evaluations, and a shared budget
-    // means the evaluated set itself shapes which claims go partial. Claim
-    // splicing would be unsound, so re-run the full pipeline — the speedup
-    // comes from the version sweep keeping every cube over untouched
-    // tables warm (with its governor charges replayed for budget parity).
-    auto report = CheckDetected(doc, std::move(detected), options_.model);
-    if (report.ok()) report->claims_rechecked = n;
-    return report;
-  }
-
-  // Priors off and no budget: per-claim distributions are independent and
-  // per-query answers don't depend on batch composition (merged == naive),
-  // so only the changed claims need re-translation. Pin PickScope to the
-  // full document's claim count so the subset gets the same per-claim
-  // budget a from-scratch run would compute.
-  std::vector<claims::Claim> subset;
-  subset.reserve(num_changed);
-  for (size_t i = 0; i < n; ++i) {
-    if (changed[i]) subset.push_back(detected[i]);
-  }
-  model::ModelOptions subset_model = options_.model;
-  subset_model.scope_num_claims = n;
-  auto sub = CheckDetected(doc, std::move(subset), subset_model);
-  if (!sub.ok()) return sub.status();
-
-  CheckReport report;
-  report.verdicts = prior.verdicts;
-  size_t next = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (changed[i]) report.verdicts[i] = std::move(sub->verdicts[next++]);
-  }
-  report.eval_stats = sub->eval_stats;
-  report.probe_stats = sub->probe_stats;
-  report.em_iterations = sub->em_iterations;
-  // Candidate spaces are data-independent given the catalog, so the
-  // from-scratch total is the prior's total.
-  report.total_candidates = prior.total_candidates;
-  report.queries_evaluated = sub->queries_evaluated;
-  report.governor_usage = sub->governor_usage;
-  report.run_attempts = sub->run_attempts;
-  report.claims_rechecked = num_changed;
-  report.claims_spliced = n - num_changed;
-  report.total_seconds = timer.ElapsedSeconds();
+  // Some claim reads a bumped table. Learned priors tie every claim's
+  // distribution to every other claim's evaluations, and a shared budget
+  // means the evaluated set itself shapes which claims go partial, so the
+  // whole document re-runs — the speedup comes from the version sweep
+  // keeping every cube over untouched tables warm (with its governor
+  // charges replayed for budget parity).
+  auto report = CheckDetected(doc, detected, nullptr);
+  if (report.ok()) report->claims_rechecked = n;
   return report;
 }
 

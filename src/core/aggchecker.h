@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,12 +31,6 @@ struct CheckOptions {
   /// oracle produce bit-identical reports; the oracle exists for
   /// differential testing and as the perf-smoke baseline.
   db::CubeExecMode cube_exec = db::CubeExecMode::kVectorized;
-  /// Acquire joined relations through the database's shared RelationCache
-  /// (built once per distinct table set, reused across batches, claims, and
-  /// EM iterations). false = every query/cube rebuilds its join privately —
-  /// the pre-cache reference behavior kept for differential tests and the
-  /// cache-off bench columns. Reports are bit-identical either way.
-  bool relation_cache = true;
   fragments::CatalogOptions catalog;
   /// Pre-built fragment catalog — the snapshot load path (DESIGN.md §15):
   /// when set, Create adopts it instead of building one from the database,
@@ -111,8 +106,8 @@ struct CheckReport {
   /// materialized, whether a limit tripped and which code stopped the run).
   /// Lets callers distinguish "verified clean" from "gave up on a budget".
   GovernorUsage governor_usage;
-  /// Times the run-level fault domain executed the translation (1 = no
-  /// run-level fault; >1 = a transient run-level fault was retried).
+  /// Times the translation ran (1 = no run-level fault; >1 = a transient
+  /// run-level fault was retried).
   uint32_t run_attempts = 1;
   /// Incremental re-verification accounting (DESIGN.md §16). A from-scratch
   /// Check leaves both zero. ReCheck counts every claim exactly once:
@@ -156,12 +151,6 @@ struct CheckReport {
   }
 };
 
-/// Assembles per-claim verdicts from a translation result (shared by
-/// AggChecker::Check and InteractiveSession).
-std::vector<ClaimVerdict> AssembleVerdicts(
-    const std::vector<claims::Claim>& detected,
-    const model::TranslationResult& translation, size_t top_k);
-
 /// \brief The AggChecker: verifies text summaries of relational data sets.
 ///
 /// Usage:
@@ -184,9 +173,9 @@ class AggChecker {
   Result<CheckReport> Check(const text::TextDocument& doc);
 
   /// Incrementally re-verifies `doc` against the current database state
-  /// given a prior report from this instance (DESIGN.md §16). Claims whose
-  /// dependency-table versions are unchanged splice their prior verdicts;
-  /// only claims reading a bumped table are re-evaluated — against caches
+  /// given a prior report from this instance (DESIGN.md §16). When no
+  /// claim's stamped dependency-table version moved, the prior report is
+  /// spliced whole; otherwise every claim is re-evaluated, against caches
   /// the version sweep has already narrowed to the touched tables. The
   /// returned report is bit-identical (FleetVerdictFingerprint) to a
   /// from-scratch Check on the current data at any thread count and under
@@ -212,14 +201,17 @@ class AggChecker {
   AggChecker(const db::Database* db, CheckOptions options)
       : db_(db), options_(std::move(options)) {}
 
-  /// Check minus detection: scoring, translation, and verdict assembly over
-  /// an already-detected claim list. Check and ReCheck both funnel here so
-  /// the two paths share one pipeline. `model` overrides options_.model
-  /// (ReCheck's subset path pins scope_num_claims); pass options_.model for
-  /// the default behavior.
-  Result<CheckReport> CheckDetected(const text::TextDocument& doc,
-                                    std::vector<claims::Claim> detected,
-                                    const model::ModelOptions& model);
+  friend class InteractiveSession;
+
+  /// Check minus detection: scoring, translation with run-level retry,
+  /// verdict assembly, and dependency stamping over an already-detected
+  /// claim list. The one checking pipeline: Check, ReCheck, and
+  /// InteractiveSession all funnel here. `pinned` (optional, one entry per
+  /// claim) fixes user-confirmed translations, as in
+  /// model::Translator::Translate.
+  Result<CheckReport> CheckDetected(
+      const text::TextDocument& doc, const std::vector<claims::Claim>& detected,
+      const std::vector<std::optional<db::SimpleAggregateQuery>>* pinned);
 
   const db::Database* db_;
   CheckOptions options_;

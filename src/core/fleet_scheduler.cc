@@ -175,28 +175,18 @@ FleetRunResult RunFleet(const std::vector<FleetDocument>& documents,
     {
       std::lock_guard<std::mutex> lock(mu);
       if (remaining == 0) return;
-      if (options.prioritize) {
-        double best_priority = -1.0;
-        for (size_t i = 0; i < documents.size(); ++i) {
-          if (!pending[i]) continue;
-          const bool is_warm = warm.count(documents[i].database) > 0;
-          const double cost = EstimateDocumentCost(documents[i], is_warm);
-          const double benefit = static_cast<double>(
-              std::max<size_t>(documents[i].num_claims_hint, 1));
-          const double priority = benefit / cost;
-          if (priority > best_priority) {  // ties break on lowest index
-            best_priority = priority;
-            pick = i;
-            pick_cost = cost;
-          }
-        }
-      } else {
-        for (size_t i = 0; i < documents.size(); ++i) {
-          if (!pending[i]) continue;
+      double best_priority = -1.0;
+      for (size_t i = 0; i < documents.size(); ++i) {
+        if (!pending[i]) continue;
+        const bool is_warm = warm.count(documents[i].database) > 0;
+        const double cost = EstimateDocumentCost(documents[i], is_warm);
+        const double benefit = static_cast<double>(
+            std::max<size_t>(documents[i].num_claims_hint, 1));
+        const double priority = benefit / cost;
+        if (priority > best_priority) {  // ties break on lowest index
+          best_priority = priority;
           pick = i;
-          pick_cost = EstimateDocumentCost(
-              documents[i], warm.count(documents[i].database) > 0);
-          break;
+          pick_cost = cost;
         }
       }
       pending[pick] = 0;

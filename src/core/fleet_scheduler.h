@@ -44,16 +44,13 @@ struct FleetOptions {
   /// Documents checked concurrently (each document runs serially inside —
   /// parallelism is across documents). 0 = hardware concurrency.
   size_t num_threads = 1;
-  /// Order work by estimated benefit/cost (relation-cache warmth, rows,
-  /// schema width, claim count) instead of submission order.
-  bool prioritize = true;
 };
 
 /// \brief Outcome of one document's run.
 struct FleetDocumentResult {
   size_t index = 0;  ///< position in the input vector
   /// Non-OK when the document never produced a report: checker creation
-  /// failed, the run-level fault domain gave up, or an injected
+  /// failed, the run-level retry gave up, or an injected
   /// `fleet.schedule.pop` fault quarantined the document at dispatch.
   Status status;
   CheckReport report;
@@ -104,9 +101,9 @@ double EstimateDocumentCost(const FleetDocument& doc, bool relation_warm);
 /// \brief Drains the fleet through a priority queue into a worker pool.
 ///
 /// Work items are popped highest benefit/cost first (lazily re-costed as
-/// dataset warmth changes; ties break on input index, FIFO when
-/// `prioritize` is false). The pop sequence is serialized and greedy, so
-/// the schedule order is deterministic for a given input regardless of
+/// dataset warmth changes; ties break on input index; RunFleetSequential
+/// is the input-order schedule). The pop sequence is serialized and greedy,
+/// so the schedule order is deterministic for a given input regardless of
 /// thread count or timing. Each popped document runs a full Check under
 /// its own budget slice; an injected pop fault quarantines that document
 /// alone and the queue keeps draining.

@@ -1,9 +1,7 @@
 #include "core/interactive_session.h"
 
-#include "core/fault_domain.h"
 #include "db/executor.h"
 #include "util/strings.h"
-#include "util/timer.h"
 
 namespace aggchecker {
 namespace core {
@@ -14,80 +12,43 @@ Result<InteractiveSession> InteractiveSession::Start(
     return Status::InvalidArgument("session needs a checker and a document");
   }
   InteractiveSession session(checker, doc);
-  const CheckOptions& options = checker->options();
-
-  claims::ClaimDetector detector(options.detector);
+  claims::ClaimDetector detector(checker->options().detector);
   session.detected_ = detector.Detect(*doc);
   session.pinned_.assign(session.detected_.size(), std::nullopt);
-
   session.dismissed_.assign(session.detected_.size(), false);
 
-  claims::KeywordExtractor extractor(options.context);
-  claims::RelevanceScorer scorer(&checker->catalog(), extractor,
-                                 options.model.lucene_hits);
-  session.relevance_ = scorer.ScoreAll(*doc, session.detected_);
-
-  Status status = session.Translate();
+  Status status = session.Refresh();
   if (!status.ok()) return status;
   return session;
 }
 
-Status InteractiveSession::Translate() {
-  Timer timer;
-  // Per-refresh governor: each interactive re-translation gets a fresh
-  // budget, so a run that tripped once does not poison later refreshes.
-  ResourceGovernor governor(checker_->options().governor);
-  checker_->engine().SetGovernor(&governor);
+Status InteractiveSession::Refresh() {
   // Dismissed claims drop out of translation (and of the priors' claim
-  // pool) entirely.
+  // pool) entirely; the rest run through the checker's own pipeline with
+  // their pins.
   std::vector<claims::Claim> active;
-  std::vector<claims::ClaimRelevance> active_relevance;
   std::vector<std::optional<db::SimpleAggregateQuery>> active_pins;
   std::vector<size_t> active_index;
   for (size_t i = 0; i < detected_.size(); ++i) {
     if (dismissed_[i]) continue;
     active.push_back(detected_[i]);
-    active_relevance.push_back(relevance_[i]);
     active_pins.push_back(pinned_[i]);
     active_index.push_back(i);
   }
+  auto report = checker_->CheckDetected(*doc_, active, &active_pins);
+  if (!report.ok()) return report.status();
 
-  // Same two-layer fault handling as AggChecker::Check: per-query faults
-  // are healed or quarantined inside the engine; run-level transients are
-  // retried here so one flaky refresh doesn't surface as an error mid-typing.
-  model::Translator translator(&checker_->database(), &checker_->catalog(),
-                               checker_->options().model);
-  model::TranslationResult translation;
-  RetryPolicy run_policy = checker_->options().recovery.retry;
-  if (!checker_->options().recovery.enabled) run_policy.max_attempts = 1;
-  FaultDomain run_domain(run_policy);
-  Status run_status = run_domain.Run([&] {
-    translation = translator.Translate(active, active_relevance,
-                                       &checker_->engine(), &active_pins);
-    return translation.status;
-  });
-  checker_->engine().SetGovernor(nullptr);
-  if (!run_status.ok()) return run_status;
-  std::vector<ClaimVerdict> active_verdicts = AssembleVerdicts(
-      active, translation, checker_->options().report_top_k);
-
-  report_.verdicts.assign(detected_.size(), ClaimVerdict{});
+  std::vector<ClaimVerdict> active_verdicts = std::move(report->verdicts);
+  report->verdicts.assign(detected_.size(), ClaimVerdict{});
   for (size_t a = 0; a < active_verdicts.size(); ++a) {
-    report_.verdicts[active_index[a]] = std::move(active_verdicts[a]);
+    report->verdicts[active_index[a]] = std::move(active_verdicts[a]);
   }
   for (size_t i = 0; i < detected_.size(); ++i) {
     if (!dismissed_[i]) continue;
-    report_.verdicts[i].claim = detected_[i];
-    report_.verdicts[i].dismissed = true;
-    report_.verdicts[i].likely_erroneous = false;
+    report->verdicts[i].claim = detected_[i];
+    report->verdicts[i].dismissed = true;
   }
-  report_.eval_stats = checker_->engine().stats();
-  report_.em_iterations = translation.em_iterations;
-  report_.total_candidates = translation.total_candidates;
-  report_.queries_evaluated = translation.queries_evaluated;
-  report_.governor_usage = governor.usage();
-  report_.run_attempts = run_domain.record().attempts;
-  report_.total_seconds = timer.ElapsedSeconds();
+  report_ = std::move(*report);
   return Status::OK();
 }
 
@@ -137,8 +98,6 @@ size_t InteractiveSession::NumPinned() const {
   for (const auto& p : pinned_) n += p.has_value() ? 1 : 0;
   return n;
 }
-
-Status InteractiveSession::Refresh() { return Translate(); }
 
 }  // namespace core
 }  // namespace aggchecker

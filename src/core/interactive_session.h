@@ -14,7 +14,7 @@ namespace core {
 /// of the AggChecker UI: confirming the top query, picking another
 /// candidate from the top-k list (Figure 3(c)), or assembling a custom
 /// query (Figure 3(d)). Confirmed translations are *pinned*; Refresh()
-/// re-runs the expectation-maximization translation with pinned claims
+/// re-runs the checker's pipeline (the one Check uses) with pinned claims
 /// fixed, so the signal propagates through the learned priors to the
 /// still-unresolved claims ("the information gained from easy cases
 /// spreads across claims", Example 5).
@@ -65,12 +65,9 @@ class InteractiveSession {
   InteractiveSession(AggChecker* checker, const text::TextDocument* doc)
       : checker_(checker), doc_(doc) {}
 
-  Status Translate();
-
   AggChecker* checker_;
   const text::TextDocument* doc_;
   std::vector<claims::Claim> detected_;
-  std::vector<claims::ClaimRelevance> relevance_;
   std::vector<std::optional<db::SimpleAggregateQuery>> pinned_;
   std::vector<bool> dismissed_;
   CheckReport report_;

@@ -45,7 +45,6 @@ struct CorpusRunResult {
   size_t queries_quarantined = 0;  ///< queries surrendered on every rung
   size_t claims_recovered = 0;     ///< claims fully healed by recovery
   size_t claims_quarantined = 0;   ///< claims degraded to quarantined partials
-  size_t watchdog_flags = 0;       ///< stalled-job flags (wall-clock based)
   /// Verification-aware probe counters summed over cases (DESIGN.md §17;
   /// all zero unless cases run the naive strategy unbudgeted).
   model::ProbeStats probe_stats;

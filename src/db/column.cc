@@ -231,11 +231,6 @@ const ColumnStats& Column::Stats() const {
   return stats_;
 }
 
-void Column::SeedStats(const ColumnStats& stats) {
-  stats_ = stats;
-  stats_built_.store(true, std::memory_order_release);
-}
-
 int Column::DistinctIndexOf(const Value& v) const {
   EnsureDictionary();
   auto it = distinct_index_.find(v);

@@ -148,11 +148,6 @@ class Column {
   /// cached; invalidated by Append/Update like the other derived views.
   const ColumnStats& Stats() const;
 
-  /// Snapshot hook: adopts precomputed statistics so a loaded column skips
-  /// the first Stats() scan. The snapshot writer persists exactly what
-  /// Stats() computed, so adopted stats are bit-identical to a rebuild.
-  void SeedStats(const ColumnStats& stats);
-
  private:
   void EnsureDictionary() const;
   void EnsureFlat() const;

@@ -11,8 +11,9 @@ namespace db {
 /// (DESIGN.md §17).
 ///
 /// Computed lazily by `Column::Stats()` under the column's double-checked
-/// lazy-build idiom, persisted in snapshot format v3, and discarded whenever
-/// the column mutates (Append/Update reset the built flag exactly like the
+/// lazy-build idiom — snapshot-loaded columns included, from their mapped
+/// data, since snapshots do not persist stats — and discarded whenever the
+/// column mutates (Append/Update reset the built flag exactly like the
 /// dictionary and flat view), so a stale prune can never survive a
 /// `DataVersion` bump.
 ///

@@ -527,14 +527,6 @@ void EvalEngine::ExecuteJobs(std::vector<CubeJob>& jobs) {
           Morsel{static_cast<uint32_t>(j), static_cast<uint32_t>(b)});
     }
   }
-  // The cooperative watchdog times every morsel; a job whose slowest morsel
-  // exceeds the stall multiple of the batch's median is flagged. Wall-clock
-  // based, so strictly measurement-only (never part of determinism
-  // fingerprints) — its value is surfacing scheduling pathologies in the
-  // harness/bench counters, not changing results.
-  const bool watchdog =
-      recovery_.has_value() && recovery_->watchdog_stall_multiple > 0.0;
-  std::vector<double> morsel_seconds(watchdog ? morsels.size() : 0, 0.0);
   std::vector<Status> morsel_status(morsels.size());
   RunIndexed(morsels.size(), [&](size_t m) {
     if (governor_ != nullptr) {
@@ -544,17 +536,8 @@ void EvalEngine::ExecuteJobs(std::vector<CubeJob>& jobs) {
         return;
       }
     }
-    Timer morsel_timer;
     morsel_status[m] = execs[morsels[m].job].ScanBlock(morsels[m].block);
-    if (watchdog) morsel_seconds[m] = morsel_timer.ElapsedSeconds();
   });
-  if (watchdog && morsels.size() >= 4) {
-    std::vector<uint32_t> morsel_job(morsels.size());
-    for (size_t m = 0; m < morsels.size(); ++m) morsel_job[m] = morsels[m].job;
-    stats_.watchdog_flags +=
-        CountStalledJobs(morsel_seconds, morsel_job, jobs.size(),
-                         recovery_->watchdog_stall_multiple);
-  }
   // Per-job error fold in ascending morsel order (= ascending block order
   // within a job): the failure a job reports is its lowest failing block,
   // not whichever worker lost the race.
@@ -958,30 +941,6 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
   stats_.join_cache_hits += serial_scan.join_cache_hits;
   stats_.join_seconds += serial_scan.join_seconds;
   return results;
-}
-
-size_t EvalEngine::CountStalledJobs(const std::vector<double>& morsel_seconds,
-                                    const std::vector<uint32_t>& morsel_job,
-                                    size_t num_jobs, double stall_multiple) {
-  if (morsel_seconds.empty() || morsel_seconds.size() != morsel_job.size() ||
-      stall_multiple <= 0.0 || num_jobs == 0) {
-    return 0;
-  }
-  std::vector<double> sorted = morsel_seconds;
-  const size_t mid = sorted.size() / 2;
-  std::nth_element(sorted.begin(), sorted.begin() + mid, sorted.end());
-  const double median = sorted[mid];
-  if (median <= 0.0) return 0;  // timings below clock resolution: no signal
-  std::vector<double> worst(num_jobs, 0.0);
-  for (size_t m = 0; m < morsel_seconds.size(); ++m) {
-    if (morsel_job[m] >= num_jobs) continue;
-    worst[morsel_job[m]] = std::max(worst[morsel_job[m]], morsel_seconds[m]);
-  }
-  size_t flagged = 0;
-  for (double w : worst) {
-    if (w > stall_multiple * median) ++flagged;
-  }
-  return flagged;
 }
 
 }  // namespace db

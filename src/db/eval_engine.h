@@ -68,16 +68,12 @@ struct EvalStats {
   double fold_seconds = 0.0;
   double answer_seconds = 0.0;
   /// Self-healing counters (recovery enabled via SetRecovery; see
-  /// DESIGN.md §13). Deterministic for a fixed fault schedule — except
-  /// watchdog_flags, which is wall-clock based (measurement-only, excluded
-  /// from determinism fingerprints like the phase timers above).
+  /// DESIGN.md §13). Deterministic for a fixed fault schedule.
   size_t recovery_retries = 0;    ///< same-rung re-attempts after transients
   size_t ladder_descents = 0;     ///< fallback-ladder rungs engaged
   size_t queries_recovered = 0;   ///< hard-failed queries healed by recovery
   size_t queries_quarantined = 0; ///< failed on every rung; owning claims
                                   ///< degrade to quarantined partials
-  size_t watchdog_flags = 0;      ///< jobs whose slowest morsel exceeded the
-                                  ///< stall multiple of the batch median
   /// Kernel-work accounting: rows scanned times slices, summed over
   /// completed cube jobs (a slice's kernel cost is proportional to rows).
   /// probe_slice_rows_skipped is always 0 — the engine never sees a probe
@@ -215,13 +211,6 @@ class EvalEngine {
 
   /// Human-readable name of a ladder position: "primary" or "reference".
   static const char* RecoveryRungName(uint32_t rung);
-
-  /// Watchdog core, exposed for deterministic unit tests: given per-morsel
-  /// wall times and their owning job, counts jobs whose slowest morsel
-  /// exceeds `stall_multiple` times the median morsel time.
-  static size_t CountStalledJobs(const std::vector<double>& morsel_seconds,
-                                 const std::vector<uint32_t>& morsel_job,
-                                 size_t num_jobs, double stall_multiple);
 
   /// Returns (and clears) the first *unexpected* execution error since the
   /// last call. Expected failures stay out of this channel: query-shape

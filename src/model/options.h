@@ -93,21 +93,6 @@ struct ModelOptions {
   /// otherwise). Also cross-checks that fingerprint-equivalent candidates
   /// never produce diverging results.
   bool probe_verify = false;
-
-  /// Ranked candidates per claim whose probe-withheld results are
-  /// re-evaluated after translation so reports show real values (AggChecker
-  /// raises this to report_top_k). The backfill runs off-ledger: no
-  /// governor charges, no new cache entries.
-  size_t probe_backfill_top_k = 10;
-
-  /// Pins PickScope's claim count to this value instead of the number of
-  /// claims actually translated (0 = off, the default). Incremental
-  /// re-verification (DESIGN.md §16) re-translates only the claims whose
-  /// dependency tables changed but must reproduce the per-claim budget the
-  /// full document was checked under — the adaptive scope divides its
-  /// row-scan target by the claim count, so a smaller subset would
-  /// otherwise get a larger budget and diverge from the from-scratch run.
-  size_t scope_num_claims = 0;
 };
 
 }  // namespace model

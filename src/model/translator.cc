@@ -254,8 +254,8 @@ TranslationResult Translator::Translate(
     const std::vector<claims::Claim>& claims,
     const std::vector<claims::ClaimRelevance>& relevance,
     db::EvalEngine* engine,
-    const std::vector<std::optional<db::SimpleAggregateQuery>>* pinned)
-    const {
+    const std::vector<std::optional<db::SimpleAggregateQuery>>* pinned,
+    size_t backfill_top_k) const {
   TranslationResult result;
   const size_t n = claims.size();
   result.partial.assign(n, false);
@@ -410,11 +410,7 @@ TranslationResult Translator::Translate(
 
   Priors priors = Priors::Uniform(*catalog_);
   if (options_.trace_priors) result.prior_trace.push_back(priors);
-  // scope_num_claims pins the budget to the full document's claim count
-  // when ReCheck re-translates a subset (see ModelOptions).
-  const size_t scope_claims =
-      options_.scope_num_claims > 0 ? options_.scope_num_claims : n;
-  const ScopeBudget scope = PickScope(*db_, scope_claims, options_);
+  const ScopeBudget scope = PickScope(*db_, n, options_);
   const int max_iters = options_.use_priors ? options_.max_em_iterations : 1;
 
   for (int iter = 0; iter < max_iters; ++iter) {
@@ -636,8 +632,7 @@ TranslationResult Translator::Translate(
     for (size_t i = 0; i < n; ++i) {
       if (is_pinned(i)) continue;
       ClaimDistribution& dist = result.distributions[i];
-      size_t limit = std::min(options_.probe_backfill_top_k,
-                              dist.ranked.size());
+      size_t limit = std::min(backfill_top_k, dist.ranked.size());
       for (size_t r = 0; r < limit; ++r) {
         const RankedCandidate& cand = dist.ranked[r];
         if (!cand.probe_decided || cand.result.has_value()) continue;

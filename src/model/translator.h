@@ -154,12 +154,18 @@ class Translator {
   /// point mass — the mechanism behind semi-automated checking, where "a
   /// clear signal received for one claim resolves ambiguities for many
   /// others" (§1).
+  ///
+  /// `backfill_top_k` is the reported depth: probe-decided candidates
+  /// ranked within the first `backfill_top_k` of a distribution are
+  /// re-evaluated after translation so they show real results. The
+  /// backfill runs off-ledger: no governor charges, no new cache entries.
   TranslationResult Translate(
       const std::vector<claims::Claim>& claims,
       const std::vector<claims::ClaimRelevance>& relevance,
       db::EvalEngine* engine,
       const std::vector<std::optional<db::SimpleAggregateQuery>>* pinned =
-          nullptr) const;
+          nullptr,
+      size_t backfill_top_k = 10) const;
 
   const ModelOptions& options() const { return options_; }
 

@@ -30,7 +30,12 @@ inline constexpr char kMagic[8] = {'A', 'G', 'G', 'S', 'N', 'A', 'P', '1'};
 /// per-column statistics blob (DESIGN.md §17) after each column's
 /// dictionary, so a loaded database probes candidates without a first-use
 /// stats scan; v2 files are rejected and rebuilt cleanly, never misparsed.
-inline constexpr uint32_t kFormatVersion = 3;
+/// 4 dropped that blob again: the reader could validate only its counts,
+/// yet the magnitude probe trusted its bounds to prove candidates
+/// non-matching, so a bad record changed verdicts without an error. Loaded
+/// columns build stats lazily from the mapped data; v3 files are rejected
+/// and rebuilt cleanly.
+inline constexpr uint32_t kFormatVersion = 4;
 
 /// Section kinds. A file carries each at most once; kDatabase is mandatory.
 enum class SectionKind : uint32_t {

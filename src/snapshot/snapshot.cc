@@ -153,24 +153,6 @@ Status WriteColumn(ByteWriter* w, const Column& col) {
   w->Align8();
   w->Raw(codes.data(), codes.size() * sizeof(int32_t));
   w->Align8();
-
-  // Format v3: the statistics blob (DESIGN.md §17). Persists exactly what
-  // Stats() computed so a loaded column probes candidates without a
-  // first-use scan — and seeded stats are bit-identical to a rebuild.
-  const db::ColumnStats& stats = col.Stats();
-  w->U64(stats.rows);
-  w->U64(stats.non_null);
-  w->U64(stats.distinct);
-  w->U64(stats.finite_count);
-  w->U8(static_cast<uint8_t>((stats.numeric ? 1 : 0) |
-                             (stats.has_non_finite ? 2 : 0) |
-                             (stats.integral ? 4 : 0)));
-  w->F64(stats.min);
-  w->F64(stats.max);
-  w->F64(stats.sum_pos);
-  w->F64(stats.sum_neg);
-  w->F64(stats.max_abs);
-  w->Align8();
   return Status::OK();
 }
 
@@ -219,27 +201,6 @@ Result<std::unique_ptr<Column>> ReadColumn(
   r->Align8();
   if (!r->ok()) return Corrupt("truncated column payload");
 
-  db::ColumnStats stats;
-  stats.rows = r->U64();
-  stats.non_null = r->U64();
-  stats.distinct = r->U64();
-  stats.finite_count = r->U64();
-  uint8_t stat_flags = r->U8();
-  stats.numeric = (stat_flags & 1) != 0;
-  stats.has_non_finite = (stat_flags & 2) != 0;
-  stats.integral = (stat_flags & 4) != 0;
-  stats.min = r->F64();
-  stats.max = r->F64();
-  stats.sum_pos = r->F64();
-  stats.sum_neg = r->F64();
-  stats.max_abs = r->F64();
-  r->Align8();
-  if (!r->ok() || stats.rows != rows ||
-      stats.non_null != rows - null_count ||
-      stats.distinct != distinct_count) {
-    return Corrupt("malformed column stats");
-  }
-
   // Every cell tag must have a backing array, or materialization would
   // dereference null (tags are checksummed, but a buggy writer is cheaper
   // to catch here than in a crash).
@@ -262,10 +223,7 @@ Result<std::unique_ptr<Column>> ReadColumn(
         break;
     }
   }
-  std::unique_ptr<Column> col =
-      Column::FromSnapshot(std::move(name), type, std::move(data));
-  if (col != nullptr) col->SeedStats(stats);
-  return col;
+  return Column::FromSnapshot(std::move(name), type, std::move(data));
 }
 
 // ---------------------------------------------------------------------------

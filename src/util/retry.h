@@ -47,11 +47,6 @@ struct RecoveryOptions {
   bool enabled = true;
   /// Same-rung retry schedule for transient (Status::IsTransient) errors.
   RetryPolicy retry;
-  /// A merged-batch job whose slowest morsel exceeds this multiple of the
-  /// batch's median morsel wall-time is flagged (EvalStats::watchdog_flags).
-  /// Measurement-only and wall-clock based — never part of determinism
-  /// fingerprints. 0 disables the watchdog.
-  double watchdog_stall_multiple = 32.0;
 };
 
 }  // namespace aggchecker

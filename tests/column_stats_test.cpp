@@ -2,8 +2,8 @@
 // verification-aware probes run on. Pins the aggregate semantics (finite
 // cells only, NaN/inf flagged not folded), the invalidation contract
 // (Append/Update discard stats exactly like the dictionary and flat view),
-// the SeedStats snapshot hook, and the thread-safety of concurrent first
-// builds (run under TSan via the `concurrency` label).
+// and the thread-safety of concurrent first builds (run under TSan via the
+// `concurrency` label).
 
 #include "db/column_stats.h"
 
@@ -118,27 +118,6 @@ TEST(ColumnStatsTest, UpdateInvalidatesStats) {
   EXPECT_DOUBLE_EQ(s.max, 5.0);
   EXPECT_DOUBLE_EQ(s.min, -2.0);
   EXPECT_DOUBLE_EQ(s.sum_neg, -2.0);
-}
-
-// SeedStats adopts precomputed stats (the snapshot load path) and a later
-// mutation still discards them — seeded stats are a cache, never a pin.
-TEST(ColumnStatsTest, SeedStatsAdoptsAndStaysInvalidatable) {
-  Column source("v", ValueType::kLong);
-  source.Append(Value(int64_t{1}));
-  source.Append(Value(int64_t{9}));
-  const ColumnStats computed = source.Stats();
-
-  Column loaded("v", ValueType::kLong);
-  loaded.Append(Value(int64_t{1}));
-  loaded.Append(Value(int64_t{9}));
-  loaded.SeedStats(computed);
-  const ColumnStats& seeded = loaded.Stats();
-  EXPECT_DOUBLE_EQ(seeded.min, computed.min);
-  EXPECT_DOUBLE_EQ(seeded.max, computed.max);
-  EXPECT_EQ(seeded.distinct, computed.distinct);
-
-  loaded.Append(Value(int64_t{50}));
-  EXPECT_DOUBLE_EQ(loaded.Stats().max, 50.0);
 }
 
 // First Stats() build from many threads at once: one build wins, all

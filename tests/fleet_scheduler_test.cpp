@@ -37,8 +37,7 @@ std::vector<std::string> Fingerprints(const FleetRunResult& run) {
 }
 
 /// The tentpole invariant: per-document verdicts are bit-identical between
-/// the scheduler (at any thread count, any priority order) and the
-/// one-at-a-time reference run.
+/// the scheduler (at any thread count) and the one-at-a-time reference run.
 TEST(FleetSchedulerTest, VerdictsBitIdenticalAcrossThreadCounts) {
   corpus::FleetCorpus fleet = corpus::GenerateFleet(SmallSpec());
   auto documents = corpus::FleetDocuments(fleet);
@@ -49,16 +48,11 @@ TEST(FleetSchedulerTest, VerdictsBitIdenticalAcrossThreadCounts) {
   const auto reference_fps = Fingerprints(reference);
 
   for (size_t threads : {1u, 2u, 8u}) {
-    for (bool prioritize : {true, false}) {
-      FleetOptions run_options;
-      run_options.num_threads = threads;
-      run_options.prioritize = prioritize;
-      FleetRunResult run = RunFleet(documents, run_options);
-      ASSERT_EQ(run.documents_failed, 0u)
-          << threads << " threads, prioritize=" << prioritize;
-      EXPECT_EQ(Fingerprints(run), reference_fps)
-          << threads << " threads, prioritize=" << prioritize;
-    }
+    FleetOptions run_options;
+    run_options.num_threads = threads;
+    FleetRunResult run = RunFleet(documents, run_options);
+    ASSERT_EQ(run.documents_failed, 0u) << threads << " threads";
+    EXPECT_EQ(Fingerprints(run), reference_fps) << threads << " threads";
   }
 }
 
@@ -139,24 +133,19 @@ TEST(FleetSchedulerTest, BudgetTripsFairlyAcrossEqualDocuments) {
 }
 
 /// Governor charge totals are a pure function of the input — equal across
-/// schedule orders and thread counts.
+/// schedule orders (input order vs priority order) and thread counts.
 TEST(FleetSchedulerTest, ChargeTotalsEqualAcrossScheduleOrders) {
   corpus::FleetCorpus fleet = corpus::GenerateFleet(SmallSpec());
   auto documents = corpus::FleetDocuments(fleet);
 
-  FleetOptions fifo;
-  fifo.prioritize = false;
-  FleetRunResult a = RunFleetSequential(documents, fifo);
+  FleetOptions options;
+  FleetRunResult a = RunFleetSequential(documents, options);
 
-  FleetOptions prioritized;
-  prioritized.prioritize = true;
-  prioritized.num_threads = 2;
-  FleetRunResult b = RunFleet(documents, prioritized);
+  options.num_threads = 2;
+  FleetRunResult b = RunFleet(documents, options);
 
-  FleetOptions fifo_pooled;
-  fifo_pooled.prioritize = false;
-  fifo_pooled.num_threads = 8;
-  FleetRunResult c = RunFleet(documents, fifo_pooled);
+  options.num_threads = 8;
+  FleetRunResult c = RunFleet(documents, options);
 
   EXPECT_EQ(a.usage.rows_charged, b.usage.rows_charged);
   EXPECT_EQ(a.usage.cube_groups_charged, b.usage.cube_groups_charged);
@@ -173,9 +162,7 @@ TEST(FleetSchedulerTest, PrioritySchedulesSharedDatasetsTogether) {
   corpus::FleetCorpus fleet = corpus::GenerateFleet(SmallSpec());
   auto documents = corpus::FleetDocuments(fleet);
 
-  FleetOptions options;
-  options.prioritize = true;
-  FleetRunResult run = RunFleet(documents, options);
+  FleetRunResult run = RunFleet(documents, FleetOptions{});
 
   // Walk the schedule order; the dataset may only change when the previous
   // dataset has no documents left.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/fleet_scheduler.h"
 #include "corpus/embedded_articles.h"
 #include "corpus/metrics.h"
 #include "test_fixtures.h"
@@ -39,6 +40,32 @@ TEST(InteractiveSessionTest, StartRunsAutomatedPass) {
   EXPECT_EQ(session->num_claims(), f.test_case.ground_truth.size());
   EXPECT_EQ(session->NumPinned(), 0u);
   EXPECT_FALSE(session->report().verdicts.empty());
+}
+
+// A session's automated pass is Check: both run the checker's one
+// pipeline, so with nothing pinned or dismissed the reports agree bit for
+// bit. The naive strategy at report depth 20 probes candidates and must
+// backfill every probe-decided candidate it reports, in both paths.
+TEST(InteractiveSessionTest, AutomatedPassMatchesCheck) {
+  CheckOptions options;
+  options.strategy = db::EvalStrategy::kNaive;
+  options.report_top_k = 20;
+  options.model.num_threads = 1;
+  for (const corpus::CorpusCase& article : corpus::EmbeddedArticles()) {
+    auto checker = AggChecker::Create(&article.database, options);
+    ASSERT_TRUE(checker.ok());
+    auto report = checker->Check(article.document);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+    auto session_checker = AggChecker::Create(&article.database, options);
+    ASSERT_TRUE(session_checker.ok());
+    auto session =
+        InteractiveSession::Start(&*session_checker, &article.document);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    EXPECT_EQ(FleetVerdictFingerprint(session->report()),
+              FleetVerdictFingerprint(*report))
+        << article.name;
+  }
 }
 
 TEST(InteractiveSessionTest, StartValidatesArguments) {

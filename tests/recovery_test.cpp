@@ -1,8 +1,7 @@
 // Engine-level tests of the self-healing layer (DESIGN.md §13): same-rung
 // retries for transient faults, the fallback ladder for persistent faults
 // in optimized paths, quarantine when every rung fails, the fail-fast
-// behavior with recovery disabled, the governor-exhausted guard, and the
-// stall watchdog's deterministic core.
+// behavior with recovery disabled, and the governor-exhausted guard.
 
 #include <gtest/gtest.h>
 
@@ -241,27 +240,6 @@ TEST(RecoveryTest, GovernorExhaustedSkipsRecovery) {
   EXPECT_FALSE(engine.ConsumeHardError().ok());
   EXPECT_TRUE(engine.ConsumeRecoveryRecords().empty())
       << "surrender-without-recovery must not fabricate recovery records";
-}
-
-// The watchdog core is a pure function of the morsel timings: one job whose
-// slowest morsel dwarfs the batch median is flagged; uniform batches are
-// not; degenerate inputs stay quiet.
-TEST(RecoveryTest, CountStalledJobsFlagsOutliers) {
-  const std::vector<double> seconds = {0.001, 0.001, 0.001, 0.001, 0.1};
-  const std::vector<uint32_t> jobs = {0, 0, 1, 1, 2};
-  EXPECT_EQ(db::EvalEngine::CountStalledJobs(seconds, jobs, 3, 32.0), 1u);
-  EXPECT_EQ(db::EvalEngine::CountStalledJobs(seconds, jobs, 3, 1000.0), 0u);
-
-  const std::vector<double> uniform = {0.002, 0.002, 0.002, 0.002};
-  const std::vector<uint32_t> uniform_jobs = {0, 1, 2, 3};
-  EXPECT_EQ(db::EvalEngine::CountStalledJobs(uniform, uniform_jobs, 4, 32.0),
-            0u);
-
-  // Degenerate: empty input and an all-zero median never flag.
-  EXPECT_EQ(db::EvalEngine::CountStalledJobs({}, {}, 0, 32.0), 0u);
-  const std::vector<double> zeros = {0.0, 0.0, 0.0};
-  const std::vector<uint32_t> zero_jobs = {0, 1, 2};
-  EXPECT_EQ(db::EvalEngine::CountStalledJobs(zeros, zero_jobs, 3, 32.0), 0u);
 }
 
 // Recovery leaves no residue: after a healed batch, a fault-free batch on

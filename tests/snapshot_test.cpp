@@ -275,11 +275,11 @@ TEST(SnapshotTest, DataVersionsRoundTripAndInvalidateAfterLoad) {
   std::remove(path.c_str());
 }
 
-// Format v3 (DESIGN.md §17): per-column statistics ride in the snapshot so
-// a loaded database probes without a first-touch scan. The seeded stats
-// must equal what a clean build computes, a v2 header (the pre-stats
-// layout) is rejected with Unsupported so callers rebuild instead of
-// misreading, and a corrupted stats record fails closed.
+// Format v4 (DESIGN.md §15, §17): snapshots do not persist per-column
+// statistics; a loaded column builds them lazily from its mapped data, and
+// they must equal what a clean build computes. A v3 header (the layout
+// with a stats blob) is rejected with Unsupported so callers rebuild
+// instead of misreading.
 TEST(SnapshotTest, ColumnStatsRideTheSnapshot) {
   auto database = testing_fixtures::MakeOrdersDatabase();
 
@@ -313,11 +313,12 @@ TEST(SnapshotTest, ColumnStatsRideTheSnapshot) {
     }
   }
 
-  // A v2 header must be rejected outright: v2 columns carry no stats blob,
-  // so decoding them with this reader would misalign every later section.
+  // A v3 header must be rejected outright: v3 columns carry a stats blob
+  // this reader no longer expects, so decoding them would misalign every
+  // later section.
   std::string pristine = ReadFile(path);
-  const uint32_t v2 = 2;
-  std::memcpy(&pristine[8], &v2, sizeof(v2));
+  const uint32_t v3 = 3;
+  std::memcpy(&pristine[8], &v3, sizeof(v3));
   WriteFile(path, pristine);
   auto rejected = snapshot::LoadSnapshot(path);
   ASSERT_FALSE(rejected.ok());

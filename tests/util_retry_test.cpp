@@ -43,7 +43,6 @@ TEST(RetryTest, RecoveryOptionsDefaultsMatchDesign) {
   RecoveryOptions options;
   EXPECT_TRUE(options.enabled);
   EXPECT_EQ(options.retry.max_attempts, 3u);
-  EXPECT_DOUBLE_EQ(options.watchdog_stall_multiple, 32.0);
 }
 
 }  // namespace
