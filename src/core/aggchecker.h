@@ -32,13 +32,16 @@ struct CheckOptions {
   /// differential testing and as the perf-smoke baseline.
   db::CubeExecMode cube_exec = db::CubeExecMode::kVectorized;
   fragments::CatalogOptions catalog;
-  /// Pre-built fragment catalog — the snapshot load path (DESIGN.md §15):
-  /// when set, Create adopts it instead of building one from the database,
-  /// skipping fragment generation and keyword indexing entirely. It must
-  /// have been built (or snapshot-restored) from the same database
-  /// contents; `catalog` options are ignored. Reports are bit-identical to
-  /// a fresh Build — the catalog's dense ids and index scores round-trip
-  /// exactly.
+  /// Pre-built fragment catalog: when set, Create adopts it instead of
+  /// building one from the database, skipping fragment generation and
+  /// keyword indexing entirely. The snapshot load path (DESIGN.md §15)
+  /// adopts a restored catalog, and RunFleet hands every document the one
+  /// catalog it built for the document's data set (§14). It must have been
+  /// built (or snapshot-restored) from the same database contents;
+  /// `catalog` options are ignored. Reports are bit-identical to a fresh
+  /// Build — the catalog's dense ids and index scores round-trip exactly,
+  /// and an immutable catalog is safe to share across checkers and
+  /// threads.
   std::shared_ptr<const fragments::FragmentCatalog> prebuilt_catalog;
   /// Candidates kept per claim in the report (the UI shows top-5/top-10).
   size_t report_top_k = 10;
@@ -160,9 +163,10 @@ struct CheckReport {
 ///   for (const auto& v : report->verdicts) { ... }
 /// \endcode
 ///
-/// One AggChecker instance per database; the fragment catalog is built once
-/// at Create time and the evaluation cache persists across Check calls on
-/// the same instance (mirroring the per-data-set setup of §3).
+/// One AggChecker instance per database; the fragment catalog is built (or
+/// adopted, see CheckOptions::prebuilt_catalog) once at Create time and the
+/// evaluation cache persists across Check calls on the same instance
+/// (mirroring the per-data-set setup of §3).
 class AggChecker {
  public:
   static Result<AggChecker> Create(const db::Database* db,

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <memory>
 #include <mutex>
 #include <set>
 
 #include "db/column_stats.h"
 #include "db/table.h"
+#include "fragments/catalog.h"
 #include "util/fault_injection.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
@@ -24,11 +27,17 @@ constexpr double kScansPerClaim = 3.0;
 /// Weight of the cube-group term (groups are far cheaper than row scans).
 constexpr double kGroupCostWeight = 0.5;
 
+using SharedCatalog = std::shared_ptr<const fragments::FragmentCatalog>;
+
 /// Runs one document under its slice and writes its result slot. `out`
-/// slots are distinct per document, so workers never share one.
+/// slots are distinct per document, so workers never share one. A non-null
+/// `catalog` is the document's data-set catalog, adopted through
+/// `prebuilt_catalog`; null leaves Create to build its own.
 void RunDocument(const FleetDocument& doc, const CheckOptions& sliced,
-                 FleetDocumentResult* out) {
-  auto checker = AggChecker::Create(doc.database, sliced);
+                 SharedCatalog catalog, FleetDocumentResult* out) {
+  CheckOptions options = sliced;
+  if (catalog != nullptr) options.prebuilt_catalog = std::move(catalog);
+  auto checker = AggChecker::Create(doc.database, std::move(options));
   if (!checker.ok()) {
     out->status = checker.status();
     return;
@@ -155,6 +164,39 @@ FleetRunResult RunFleet(const std::vector<FleetDocument>& documents,
 
   const CheckOptions sliced = SliceOptions(options, documents.size());
   Timer fleet_timer;
+  ThreadPool pool(threads);
+
+  // One catalog per distinct data set, in first-appearance order: the
+  // paper's per-data-set set-up (IndexFragments), paid once per drain and
+  // inside the fleet timer. A catalog is a pure function of the data and
+  // CatalogOptions and immutable once built, so every document on the data
+  // set adopts it and still gets its own checker, engine, slice and report.
+  std::vector<const db::Database*> datasets;
+  std::vector<size_t> dataset_of(documents.size());
+  {
+    std::map<const db::Database*, size_t> first_seen;
+    for (size_t i = 0; i < documents.size(); ++i) {
+      auto [it, inserted] =
+          first_seen.emplace(documents[i].database, datasets.size());
+      if (inserted) datasets.push_back(documents[i].database);
+      dataset_of[i] = it->second;
+    }
+  }
+  std::vector<Status> catalog_status(datasets.size());
+  std::vector<SharedCatalog> catalogs(datasets.size());
+  pool.ParallelFor(0, datasets.size(), [&](size_t d) {
+    // Create rejects a missing or empty database before building anything;
+    // leave those to it so their documents fail exactly as they would alone.
+    if (datasets[d] == nullptr || datasets[d]->num_tables() == 0) return;
+    auto built =
+        fragments::FragmentCatalog::Build(*datasets[d], options.check.catalog);
+    if (!built.ok()) {
+      catalog_status[d] = built.status();
+      return;
+    }
+    catalogs[d] = std::make_shared<const fragments::FragmentCatalog>(
+        std::move(*built));
+  });
 
   // Scheduler state. Pops are serialized and greedy: each pop takes the
   // best benefit/cost over the *remaining* documents under the warmth known
@@ -204,22 +246,22 @@ FleetRunResult RunFleet(const std::vector<FleetDocument>& documents,
     out.index = pick;
     out.cost_estimate = pick_cost;
     out.schedule_position = position;
-    if (!pop_status.ok()) {
-      out.status = pop_status;
+    // A pop fault fails this document alone; a failed catalog build fails
+    // every document on its data set. Either way the document is not run.
+    const size_t dataset = dataset_of[pick];
+    const Status& skip =
+        pop_status.ok() ? catalog_status[dataset] : pop_status;
+    if (!skip.ok()) {
+      out.status = skip;
       out.latency_seconds = fleet_timer.ElapsedSeconds();
       return;
     }
-    RunDocument(documents[pick], sliced, &out);
+    RunDocument(documents[pick], sliced, catalogs[dataset], &out);
     out.latency_seconds = fleet_timer.ElapsedSeconds();
   };
 
-  if (threads <= 1) {
-    for (size_t i = 0; i < documents.size(); ++i) drain_one();
-  } else {
-    ThreadPool pool(threads);
-    pool.ParallelFor(0, documents.size(),
-                     [&](size_t) { drain_one(); });
-  }
+  // A one-thread pool runs every region inline, in index order.
+  pool.ParallelFor(0, documents.size(), [&](size_t) { drain_one(); });
 
   result.total_seconds = fleet_timer.ElapsedSeconds();
   Aggregate(&result);
@@ -244,7 +286,7 @@ FleetRunResult RunFleetSequential(
     out.cost_estimate = EstimateDocumentCost(
         documents[i], warm.count(documents[i].database) > 0);
     warm.insert(documents[i].database);
-    RunDocument(documents[i], sliced, &out);
+    RunDocument(documents[i], sliced, nullptr, &out);
     out.latency_seconds = fleet_timer.ElapsedSeconds();
   }
   result.total_seconds = fleet_timer.ElapsedSeconds();

@@ -39,6 +39,10 @@ struct FleetDocument {
 /// the same slice regardless of queue position (the fairness invariant),
 /// and per-document verdicts are bit-identical to a one-at-a-time run of
 /// the same slice, for any thread count and any schedule order.
+///
+/// `check.catalog` configures the one fragment catalog RunFleet builds per
+/// data set; `check.prebuilt_catalog` is ignored by RunFleet, because one
+/// catalog cannot serve several data sets.
 struct FleetOptions {
   CheckOptions check;
   /// Documents checked concurrently (each document runs serially inside —
@@ -49,9 +53,11 @@ struct FleetOptions {
 /// \brief Outcome of one document's run.
 struct FleetDocumentResult {
   size_t index = 0;  ///< position in the input vector
-  /// Non-OK when the document never produced a report: checker creation
-  /// failed, the run-level retry gave up, or an injected
-  /// `fleet.schedule.pop` fault quarantined the document at dispatch.
+  /// Non-OK when the document never produced a report: its data set's
+  /// catalog build failed (every document on that data set carries the
+  /// same status and none of them runs), checker creation failed, the
+  /// run-level retry gave up, or an injected `fleet.schedule.pop` fault
+  /// quarantined the document at dispatch.
   Status status;
   CheckReport report;
   double cost_estimate = 0;      ///< scheduler's estimate at pop time
@@ -100,18 +106,23 @@ double EstimateDocumentCost(const FleetDocument& doc, bool relation_warm);
 
 /// \brief Drains the fleet through a priority queue into a worker pool.
 ///
-/// Work items are popped highest benefit/cost first (lazily re-costed as
-/// dataset warmth changes; ties break on input index; RunFleetSequential
-/// is the input-order schedule). The pop sequence is serialized and greedy,
-/// so the schedule order is deterministic for a given input regardless of
-/// thread count or timing. Each popped document runs a full Check under
-/// its own budget slice; an injected pop fault quarantines that document
-/// alone and the queue keeps draining.
+/// The drain starts by building one fragment catalog per distinct data set
+/// on the pool, inside the fleet timer (DESIGN.md §14, "One catalog per
+/// data set"). Work items are then popped highest benefit/cost first
+/// (lazily re-costed as dataset warmth changes; ties break on input index;
+/// RunFleetSequential is the input-order schedule). The pop sequence is
+/// serialized and greedy, so the schedule order is deterministic for a
+/// given input regardless of thread count or timing. Each popped document
+/// gets its own checker adopting its data set's catalog and runs a full
+/// Check under its own budget slice. An injected pop fault quarantines that
+/// document alone; a failed catalog build fails the documents of its data
+/// set alone; the queue keeps draining either way.
 FleetRunResult RunFleet(const std::vector<FleetDocument>& documents,
                         const FleetOptions& options);
 
 /// One-at-a-time reference: the same budget slices, input order, no pool,
-/// no scheduler. RunFleet must be bit-identical to this per document.
+/// no scheduler, and a fresh Create (own catalog) per document. RunFleet
+/// must be bit-identical to this per document.
 FleetRunResult RunFleetSequential(const std::vector<FleetDocument>& documents,
                                   const FleetOptions& options);
 

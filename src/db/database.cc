@@ -202,23 +202,5 @@ size_t Database::TotalRows() const {
   return total;
 }
 
-size_t Database::TotalColumns() const {
-  size_t total = 0;
-  for (const auto& t : tables_) total += t->num_columns();
-  return total;
-}
-
-size_t Database::MaxDistinctValues() const {
-  size_t max_card = 0;
-  for (const auto& t : tables_) {
-    for (size_t c = 0; c < t->num_columns(); ++c) {
-      const Column& column = t->column(c);
-      if (column.is_numeric()) continue;  // measures are not cube dimensions
-      max_card = std::max(max_card, column.DistinctValues().size());
-    }
-  }
-  return max_card;
-}
-
 }  // namespace db
 }  // namespace aggchecker

@@ -110,16 +110,6 @@ class Database {
   /// Total number of rows across all tables.
   size_t TotalRows() const;
 
-  /// Total number of columns across all tables (schema width). With
-  /// MaxDistinctValues, the stats hook behind the fleet scheduler's
-  /// cube-group cost estimate.
-  size_t TotalColumns() const;
-
-  /// Largest per-column distinct-value count over the non-numeric
-  /// (dimension) columns — the dominant factor of worst-case cube-group
-  /// counts. Builds the lazy column dictionaries on first call.
-  size_t MaxDistinctValues() const;
-
   /// \brief Per-database cache of materialized joined relations.
   ///
   /// Shared by every evaluation component running over this database (cube

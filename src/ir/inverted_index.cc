@@ -24,11 +24,8 @@ int InvertedIndex::AddDocument(const std::vector<TermWeight>& terms) {
     norm_sq += w * w;
   }
   doc_norms_.push_back(norm_sq > 0 ? std::sqrt(norm_sq) : 1.0);
-  finalized_ = false;
   return doc_id;
 }
-
-void InvertedIndex::Finalize() const { finalized_ = true; }
 
 std::vector<InvertedIndex::TermPostings> InvertedIndex::ExportPostings()
     const {
@@ -70,7 +67,6 @@ InvertedIndex::ScoreScratch& InvertedIndex::TlsScratch() {
 
 void InvertedIndex::Accumulate(const std::vector<TermWeight>& query,
                                ScoreScratch* scratch) const {
-  if (!finalized_) Finalize();
   // Merge duplicate query terms first.
   std::unordered_map<std::string, double> qtf;
   for (const auto& [term, weight] : query) {

@@ -42,8 +42,6 @@ class InvertedIndex {
   };
 
   /// Adds a document; returns its id (dense, starting at 0).
-  /// Documents added after the first Search call are an error in spirit —
-  /// the index finalizes lazily and asserts immutability via idf caching.
   int AddDocument(const std::vector<TermWeight>& terms);
 
   /// Top-k documents by score. Ties broken by lower doc id. Query terms are
@@ -105,7 +103,6 @@ class InvertedIndex {
     }
   };
 
-  void Finalize() const;
   double Idf(size_t df) const;
 
   /// The calling thread's scratch (Search/Score may run concurrently from
@@ -121,7 +118,6 @@ class InvertedIndex {
 
   std::unordered_map<std::string, std::vector<Posting>> postings_;
   std::vector<double> doc_norms_;
-  mutable bool finalized_ = false;
 };
 
 }  // namespace ir

@@ -442,6 +442,62 @@ TEST(ChaosMatrixTest, FleetPopFaultQuarantinesOneDocumentAlone) {
   EXPECT_EQ(failed, 1u);
 }
 
+// A catalog-build fault is contained to its data set: RunFleet builds one
+// catalog per data set, so every document on the faulted one carries the
+// build's error and is not run, while the other data set's documents drain
+// with verdicts bit-identical to the fault-free run. At one thread the
+// builds run in first-appearance order, so hit 1 is the first document's
+// data set; at two threads either build may be hit first.
+TEST(ChaosMatrixTest, FleetCatalogFaultFailsOnlyItsDataSet) {
+  fi::DisarmAll();
+  corpus::FleetSpec spec = TinyFleetSpec();
+  spec.num_articles = 4;
+  spec.num_datasets = 2;
+  corpus::FleetCorpus fleet = corpus::GenerateFleet(spec);
+  auto documents = corpus::FleetDocuments(fleet);
+  ASSERT_EQ(documents.size(), 4u);
+
+  core::FleetOptions options;
+  options.check = FastRecoveryOptions();
+  core::FleetRunResult reference = core::RunFleet(documents, options);
+  ASSERT_EQ(reference.documents_failed, 0u);
+
+  fi::FaultSpec once;  // fires on hit 1 only
+  once.every_hit = false;
+  for (size_t threads : {1u, 2u}) {
+    options.num_threads = threads;
+    fi::Arm("catalog.build", once);
+    core::FleetRunResult faulted = core::RunFleet(documents, options);
+    fi::DisarmAll();
+
+    std::set<const db::Database*> failed_datasets;
+    for (size_t i = 0; i < documents.size(); ++i) {
+      const auto& doc = faulted.documents[i];
+      if (!doc.status.ok()) {
+        EXPECT_EQ(doc.status.code(), StatusCode::kInternal);
+        failed_datasets.insert(documents[i].database);
+        continue;
+      }
+      EXPECT_EQ(core::FleetVerdictFingerprint(doc.report),
+                core::FleetVerdictFingerprint(reference.documents[i].report))
+          << "surviving document " << i << " diverged at " << threads
+          << " threads";
+    }
+    ASSERT_EQ(failed_datasets.size(), 1u) << threads << " threads";
+    const db::Database* failed = *failed_datasets.begin();
+    if (threads == 1) {
+      EXPECT_EQ(failed, documents[0].database)
+          << "hit 1 must be the first-appearing data set's build";
+    }
+    // Exactly the documents of the faulted data set failed, all of them.
+    for (size_t i = 0; i < documents.size(); ++i) {
+      EXPECT_EQ(faulted.documents[i].status.ok(),
+                documents[i].database != failed)
+          << "document " << i << " at " << threads << " threads";
+    }
+  }
+}
+
 // A generator-emit fault drops exactly the faulted article: the corpus
 // keeps its remaining articles, counts the drop, and — per-article rng
 // streams being independent — every survivor is byte-identical to its

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <set>
 
 #include "corpus/fleet_generator.h"
 #include "corpus/harness.h"
+#include "util/fault_injection.h"
 #include "util/thread_pool.h"
 
 namespace aggchecker {
@@ -38,6 +41,9 @@ std::vector<std::string> Fingerprints(const FleetRunResult& run) {
 
 /// The tentpole invariant: per-document verdicts are bit-identical between
 /// the scheduler (at any thread count) and the one-at-a-time reference run.
+/// The scheduler's documents adopt one shared catalog per data set while
+/// the reference builds a fresh one per document, so this also compares
+/// shared catalogs against fresh ones.
 TEST(FleetSchedulerTest, VerdictsBitIdenticalAcrossThreadCounts) {
   corpus::FleetCorpus fleet = corpus::GenerateFleet(SmallSpec());
   auto documents = corpus::FleetDocuments(fleet);
@@ -57,7 +63,8 @@ TEST(FleetSchedulerTest, VerdictsBitIdenticalAcrossThreadCounts) {
 }
 
 /// Same invariant under a global budget tight enough to trip every slice:
-/// partial verdicts must also be interleaving-independent.
+/// partial verdicts must also be interleaving-independent, and shared
+/// catalogs must match fresh ones here too.
 TEST(FleetSchedulerTest, BudgetedVerdictsBitIdenticalAcrossThreadCounts) {
   corpus::FleetCorpus fleet = corpus::GenerateFleet(SmallSpec());
   auto documents = corpus::FleetDocuments(fleet);
@@ -81,6 +88,34 @@ TEST(FleetSchedulerTest, BudgetedVerdictsBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(Fingerprints(run), reference_fps) << threads << " threads";
     EXPECT_EQ(run.documents_exhausted, reference.documents_exhausted)
         << threads << " threads";
+  }
+}
+
+/// RunFleet indexes each shared data set once per drain: armed with an
+/// unreachable trigger (hits are counted, nothing fires), `catalog.build`
+/// is hit once per distinct data set, not once per document, and the shared
+/// catalogs give the verdicts of the fresh-Create-per-document reference.
+TEST(FleetSchedulerTest, BuildsOneCatalogPerDataSet) {
+  corpus::FleetCorpus fleet = corpus::GenerateFleet(SmallSpec());
+  auto documents = corpus::FleetDocuments(fleet);
+  ASSERT_EQ(documents.size(), 8u);
+  ASSERT_EQ(fleet.datasets.size(), 2u);
+  const auto reference_fps =
+      Fingerprints(RunFleetSequential(documents, FleetOptions{}));
+
+  fault_injection::FaultSpec count_only;
+  count_only.trigger_on_hit = std::numeric_limits<uint64_t>::max();
+  for (size_t threads : {1u, 2u, 8u}) {
+    FleetOptions options;
+    options.num_threads = threads;
+    fault_injection::Arm("catalog.build", count_only);  // resets the count
+    FleetRunResult run = RunFleet(documents, options);
+    const uint64_t hits = fault_injection::HitCount("catalog.build");
+    fault_injection::DisarmAll();
+
+    EXPECT_EQ(hits, 2u) << threads << " threads";
+    ASSERT_EQ(run.documents_failed, 0u) << threads << " threads";
+    EXPECT_EQ(Fingerprints(run), reference_fps) << threads << " threads";
   }
 }
 
