@@ -361,7 +361,6 @@ int RunPlanReuseGate() {
   options.model.max_em_iterations = 5;
   options.model.num_threads = 1;
   options.model.max_eval_per_claim = 40;
-  options.model.min_eval_per_claim = 10;
   auto checker = core::AggChecker::Create(&database, options);
   if (!checker.ok()) {
     std::fprintf(stderr, "perf_smoke: FAIL — checker creation failed\n");

@@ -18,9 +18,6 @@
 #                                 # trip, >= 5x load-vs-build, bit-identity
 #   scripts/check.sh incremental-smoke # incremental re-verification:
 #                                 # ReCheck >= 10x cold, bit-identity
-#   scripts/check.sh probe-smoke  # verification-aware candidate pruning:
-#                                 # >= 30% pruned, naive rung >= x1.3,
-#                                 # bit-identity on the naive rung
 #   scripts/check.sh chaos-matrix # exhaustive fault-point sweep (ASan+UBSan)
 #
 # The chaos-matrix step first checks that the compile-time fault-point
@@ -51,14 +48,6 @@
 # least 10x faster than re-checking every case cold or any spliced report
 # diverges from its from-scratch reference.
 #
-# The probe-smoke step builds the Release preset's `bench_probe_pruning`
-# binary and runs it with --smoke: the embedded articles plus a small
-# generated corpus are checked with probe pruning on and off on the naive
-# (per-candidate evaluation) rung of the Table 6 strategy ladder, the only
-# configuration that probes, and the run fails unless probes prune at
-# least 30% of candidates, the pruned run is at least x1.3 faster, and
-# pruned reports are bit-identical to unpruned ones on every case.
-#
 # The perf-smoke step builds the Release preset's `perf_smoke` binary and
 # fails if (a) vectorized cube execution is not faster than the scalar
 # oracle, (b) merged+cached engine evaluation over a PK-FK join workload is
@@ -77,7 +66,7 @@ jobs="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 presets=("${@:-default}")
 if [[ $# -eq 0 ]]; then
   presets=(default asan-ubsan tsan perf-smoke fleet-smoke snapshot-smoke
-           incremental-smoke probe-smoke)
+           incremental-smoke)
 fi
 
 for preset in "${presets[@]}"; do
@@ -123,15 +112,6 @@ for preset in "${presets[@]}"; do
       --target bench_incremental_recheck
     echo "==> [incremental-smoke] run"
     (cd build/bench && ./bench_incremental_recheck --smoke)
-    continue
-  fi
-  if [[ "$preset" == "probe-smoke" ]]; then
-    echo "==> [probe-smoke] build"
-    cmake --preset default >/dev/null
-    cmake --build --preset default -j "$jobs" \
-      --target bench_probe_pruning
-    echo "==> [probe-smoke] run"
-    (cd build/bench && ./bench_probe_pruning --smoke)
     continue
   fi
   if [[ "$preset" == "snapshot-smoke" ]]; then

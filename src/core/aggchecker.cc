@@ -123,12 +123,10 @@ Result<CheckReport> AggChecker::CheckDetected(
   // Per-query faults are healed or quarantined by the engine's recovery
   // pass; what surfaces here are run-level faults with no owning query,
   // retried while transient. Engine caches persist across attempts (failed
-  // scans are never cached, so re-runs are safe). Every reported candidate
-  // must show a real result, so the top-k backfill covers the report depth.
+  // scans are never cached, so re-runs are safe).
   model::Translator translator(db_, catalog_.get(), options_.model);
   auto translate = [&] {
-    return translator.Translate(detected, relevance, engine_.get(), pinned,
-                                options_.report_top_k);
+    return translator.Translate(detected, relevance, engine_.get(), pinned);
   };
   const uint32_t max_attempts =
       options_.recovery.enabled ? options_.recovery.retry.max_attempts : 1;
@@ -156,7 +154,6 @@ Result<CheckReport> AggChecker::CheckDetected(
   }
 
   report.eval_stats = engine_->stats();
-  report.probe_stats = translation.probe_stats;
   report.em_iterations = translation.em_iterations;
   report.total_candidates = translation.total_candidates;
   report.queries_evaluated = translation.queries_evaluated;

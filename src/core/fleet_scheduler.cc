@@ -130,19 +130,16 @@ double EstimateDocumentCost(const FleetDocument& doc, bool relation_warm) {
   // Cube scans: claims share merged scans, but more claims mean more
   // distinct predicate-column sets and EM batches.
   const double scan_cost = claims * kScansPerClaim * rows;
-  // Cube groups: the same per-column statistics the probes run on
-  // (DESIGN.md §17) give an exact per-dimension cardinality, so the group
-  // estimate sums each column's real distinct count instead of the old
-  // width × max-cardinality upper bound, which over-charged wide tables
-  // with one high-cardinality key column. Deterministic: ColumnStats are a
-  // pure function of the data, and scheduling forces the same lazy build
-  // the checker's probes reuse. NULL buckets add one group per nullable
-  // column.
+  // Cube groups: each column's dictionary gives an exact per-dimension
+  // cardinality, so the group estimate sums each column's distinct count.
+  // Deterministic: the counts are a pure function of the data, and
+  // scheduling forces the same lazy dictionary build the checker's cube
+  // scans reuse. NULL buckets add one group per nullable column.
   double total_groups = 0.0;
   for (size_t t = 0; t < doc.database->num_tables(); ++t) {
     const db::Table& table = doc.database->table(t);
     for (size_t c = 0; c < table.num_columns(); ++c) {
-      const db::ColumnStats& stats = table.column(c).Stats();
+      const db::ColumnStats stats = table.column(c).Stats();
       total_groups += static_cast<double>(stats.distinct) +
                       (stats.non_null < stats.rows ? 1.0 : 0.0);
     }

@@ -156,7 +156,6 @@ CorpusRunResult RunOnCorpus(const std::vector<CorpusCase>& corpus,
     result.queries_quarantined += report->eval_stats.queries_quarantined;
     result.claims_recovered += report->NumRecovered();
     result.claims_quarantined += report->NumQuarantined();
-    result.probe_stats.Add(report->probe_stats);
     result.detection.Merge(ScoreErrorDetection(test_case, *report));
     result.coverage.Merge(ScoreCoverage(test_case, *report, 20));
     result.reports.push_back(std::move(*report));

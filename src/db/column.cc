@@ -1,7 +1,5 @@
 #include "db/column.h"
 
-#include <cmath>
-
 namespace aggchecker {
 namespace db {
 
@@ -28,7 +26,6 @@ void Column::Append(Value v) {
   ++num_rows_;
   dict_built_.store(false, std::memory_order_release);
   flat_built_.store(false, std::memory_order_release);
-  stats_built_.store(false, std::memory_order_release);
 }
 
 void Column::Update(size_t row, Value v) {
@@ -44,7 +41,6 @@ void Column::Update(size_t row, Value v) {
   cell = std::move(v);
   dict_built_.store(false, std::memory_order_release);
   flat_built_.store(false, std::memory_order_release);
-  stats_built_.store(false, std::memory_order_release);
 }
 
 void Column::MaterializeValues() const {
@@ -181,54 +177,9 @@ const Column::FlatView& Column::Flat() const {
   return flat_view_;
 }
 
-void Column::BuildStats() const {
-  ColumnStats s;
-  s.rows = num_rows_;
-  s.non_null = num_rows_ - null_count_;
-  s.distinct = distinct_.size();
-  s.numeric = is_numeric();
-  if (s.numeric) {
-    s.integral = true;
-    const double* doubles = flat_view_.doubles;
-    const uint8_t* nulls = flat_view_.nulls;
-    for (size_t r = 0; r < flat_view_.size; ++r) {
-      if (nulls[r]) continue;
-      double d = doubles[r];
-      if (!std::isfinite(d)) {
-        s.has_non_finite = true;
-        continue;
-      }
-      ++s.finite_count;
-      if (d < s.min) s.min = d;
-      if (d > s.max) s.max = d;
-      if (d > 0) {
-        s.sum_pos += d;
-      } else if (d < 0) {
-        s.sum_neg += d;
-      }
-      double a = std::fabs(d);
-      if (a > s.max_abs) s.max_abs = a;
-      if (s.integral && std::floor(d) != d) s.integral = false;
-    }
-  }
-  stats_ = s;
-}
-
-void Column::EnsureStats() const {
-  if (stats_built_.load(std::memory_order_acquire)) return;
-  // Build the prerequisites *before* taking lazy_mu_ — EnsureFlat and
-  // EnsureDictionary take the same mutex.
-  EnsureFlat();
-  EnsureDictionary();
-  std::lock_guard<std::mutex> lock(lazy_mu_);
-  if (stats_built_.load(std::memory_order_relaxed)) return;
-  BuildStats();
-  stats_built_.store(true, std::memory_order_release);
-}
-
-const ColumnStats& Column::Stats() const {
-  EnsureStats();
-  return stats_;
+ColumnStats Column::Stats() const {
+  return ColumnStats{num_rows_, num_rows_ - null_count_,
+                     DistinctValues().size()};
 }
 
 int Column::DistinctIndexOf(const Value& v) const {

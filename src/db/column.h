@@ -143,19 +143,16 @@ class Column {
   /// Number of null cells.
   size_t null_count() const { return null_count_; }
 
-  /// Summary statistics for verification-aware probes (DESIGN.md §17).
-  /// Built lazily (builds the dictionary and flat view first if needed) and
-  /// cached; invalidated by Append/Update like the other derived views.
-  const ColumnStats& Stats() const;
+  /// Row, non-NULL and distinct counts, computed on each call from the
+  /// row and NULL counters and the dictionary (built lazily, thread-safe).
+  ColumnStats Stats() const;
 
  private:
   void EnsureDictionary() const;
   void EnsureFlat() const;
-  void EnsureStats() const;
   void EnsureValues() const;
   void BuildDictionary() const;
   void BuildFlat() const;
-  void BuildStats() const;
   void MaterializeValues() const;
 
   std::string name_;
@@ -184,9 +181,6 @@ class Column {
   mutable std::vector<double> flat_doubles_;
   mutable std::vector<uint8_t> flat_nulls_;
   mutable FlatView flat_view_;
-
-  mutable std::atomic<bool> stats_built_{false};
-  mutable ColumnStats stats_;
 };
 
 }  // namespace db

@@ -113,7 +113,7 @@ CandidateSpace CandidateSpace::Build(
   }
 
   // --- Predicate subsets: all subsets of the retrieved predicates with
-  // pairwise distinct columns, up to max_predicates, ranked by the product
+  // pairwise distinct columns, up to kMaxPredicates, ranked by the product
   // of normalized scores, capped at max_pred_subsets. ---
   {
     // Normalized scores of individual predicate fragments.
@@ -129,7 +129,7 @@ CandidateSpace CandidateSpace::Build(
     // Grow subsets breadth-first by size; predicates are ordered, and each
     // subset only extends with higher-indexed fragments to avoid dupes.
     size_t level_begin = 0;
-    for (int size = 1; size <= options.max_predicates; ++size) {
+    for (int size = 1; size <= kMaxPredicates; ++size) {
       size_t level_end = subsets.size();
       for (size_t s = level_begin; s < level_end; ++s) {
         size_t start_pos = 0;

@@ -11,6 +11,9 @@
 namespace aggchecker {
 namespace model {
 
+/// Maximum predicates per candidate query (m = 3 in §6.3).
+constexpr int kMaxPredicates = 3;
+
 /// \brief One considered fragment option with its normalized (smoothed)
 /// relevance score — the factor Pr(S^X_c | Q_c) contributes for picking it.
 struct ScoredOption {

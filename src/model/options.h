@@ -19,9 +19,6 @@ struct ModelOptions {
   /// Figure 13 left).
   size_t lucene_hits = 20;
 
-  /// Maximum predicates per candidate query (m = 3 in §6.3).
-  int max_predicates = 3;
-
   /// Predicate-column subsets kept per claim, ranked by keyword score
   /// (bounds the candidate cross product).
   size_t max_pred_subsets = 200;
@@ -30,19 +27,10 @@ struct ModelOptions {
   /// Figure 13 right).
   size_t max_agg_columns = 12;
 
-  /// Candidate queries evaluated per claim per EM iteration (PickScope's
-  /// cost budget, §6.1).
+  /// Candidate queries evaluated per claim per EM iteration: PickScope's
+  /// scope (§6.1), fixed per claim instead of derived from a cost model
+  /// (DESIGN.md §5).
   size_t max_eval_per_claim = 160;
-
-  /// Adaptive PickScope (§6.1's cost model): scale the per-claim budget so
-  /// one EM iteration costs about target_row_scans row-scans, between
-  /// min_eval_per_claim and max_eval_per_claim. new_group_rate is the
-  /// modeled chance an extra candidate opens a new cube group (candidates
-  /// sharing predicate columns merge into one scan).
-  bool adaptive_scope = false;
-  double target_row_scans = 2e6;
-  size_t min_eval_per_claim = 20;
-  double new_group_rate = 0.05;
 
   /// EM iteration cap and convergence tolerance on prior change.
   int max_em_iterations = 5;
@@ -75,24 +63,6 @@ struct ModelOptions {
   /// Results are bit-identical for any value (see DESIGN.md "Concurrency
   /// contract"), so this is purely a throughput knob.
   size_t num_threads = 0;
-
-  /// Verification-aware candidate pruning (DESIGN.md §17): probe each
-  /// candidate against column statistics and dictionaries before it enters
-  /// the evaluation batch, and give a decided candidate its outcome without
-  /// evaluating it. Takes effect only where that skips work: the naive
-  /// (per-candidate) strategy under a governor that limits nothing. Every
-  /// other configuration probes nothing. Reports are bit-identical with
-  /// pruning on or off (the probe-pruning differential tests pin this
-  /// down); the flag only trades probe work for evaluation work.
-  bool probe_pruning = true;
-
-  /// Debug/differential mode: wherever probe_pruning takes effect, run
-  /// every probe but evaluate all candidates for real anyway, counting
-  /// disagreements between synthesized and real outcomes in
-  /// ProbeStats::probe_conflicts (must be zero — an unsound probe bound
-  /// otherwise). Also cross-checks that fingerprint-equivalent candidates
-  /// never produce diverging results.
-  bool probe_verify = false;
 };
 
 }  // namespace model

@@ -1,16 +1,12 @@
 #include "model/translator.h"
 
 #include <algorithm>
-#include <cmath>
 #include <set>
 #include <unordered_map>
 
-#include "model/probe.h"
-#include "model/scope.h"
 #include "util/fault_injection.h"
 #include "util/rounding.h"
 #include "util/strings.h"
-#include "util/timer.h"
 
 namespace aggchecker {
 namespace model {
@@ -26,20 +22,7 @@ uint64_t TripleKey(size_t f, size_t c, size_t s) {
 struct EvalOutcome {
   std::optional<double> result;
   bool matches = false;
-  /// Synthesized from a magnitude-family probe decision (DESIGN.md §17):
-  /// matches is provably false but the result itself was never computed
-  /// (the top-k backfill fills it for reports).
-  bool probe_no_result = false;
 };
-
-/// NaN-tolerant equality of two optional evaluation results (the verify
-/// mode's disagreement test: nullopt == nullopt, NaN == NaN).
-bool SameResult(const std::optional<double>& a,
-                const std::optional<double>& b) {
-  if (a.has_value() != b.has_value()) return false;
-  if (!a.has_value()) return true;
-  return *a == *b || (std::isnan(*a) && std::isnan(*b));
-}
 
 struct ScoredTriple {
   double score;
@@ -254,8 +237,7 @@ TranslationResult Translator::Translate(
     const std::vector<claims::Claim>& claims,
     const std::vector<claims::ClaimRelevance>& relevance,
     db::EvalEngine* engine,
-    const std::vector<std::optional<db::SimpleAggregateQuery>>* pinned,
-    size_t backfill_top_k) const {
+    const std::vector<std::optional<db::SimpleAggregateQuery>>* pinned) const {
   TranslationResult result;
   const size_t n = claims.size();
   result.partial.assign(n, false);
@@ -379,38 +361,8 @@ TranslationResult Translator::Translate(
     return *encoders[i];
   };
 
-  // Verification-aware probe stage (DESIGN.md §17): candidates are probed
-  // once (per triple, cached across EM iterations via the outcomes map) as
-  // they enter their first batch, and a decided candidate gets its outcome
-  // here instead of being sent to the engine. That skips work only where
-  // execution is per candidate — the naive strategy — and only under a
-  // governor that limits nothing (skipping a scan would otherwise move a
-  // budget's exhaustion point). In probe_verify mode decisions are
-  // recorded and cross-checked but never acted on, so everything evaluates
-  // for real.
-  const bool probing =
-      options_.probe_pruning &&
-      engine->strategy() == db::EvalStrategy::kNaive &&
-      (governor == nullptr || governor->limits().unlimited());
-  std::optional<CandidateProber> prober;
-  std::vector<rounding::MatchInterval> claim_intervals;
-  if (probing) {
-    prober.emplace(*db_, *catalog_);
-    claim_intervals.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      claim_intervals.push_back(rounding::MatchableInterval(
-          claims[i].claimed_value(), options_.rounding_mode,
-          options_.rounding_tolerance));
-    }
-  }
-  // probe_verify cross-check: fingerprint-equivalent candidates (same
-  // interned id, any claim, any iteration) must never disagree on results.
-  std::unordered_map<db::QueryInterner::Id, std::optional<double>>
-      verify_results;
-
   Priors priors = Priors::Uniform(*catalog_);
   if (options_.trace_priors) result.prior_trace.push_back(priors);
-  const ScopeBudget scope = PickScope(*db_, n, options_);
   const int max_iters = options_.use_priors ? options_.max_em_iterations : 1;
 
   for (int iter = 0; iter < max_iters; ++iter) {
@@ -437,39 +389,20 @@ TranslationResult Translator::Translate(
       PriorFactors factors =
           ComputePriorFactors(*spaces[i], priors, *catalog_);
       selections[i] = SelectTop(*spaces[i], factors, options_.use_priors,
-                                scope.eval_per_claim);
+                                options_.max_eval_per_claim);
     });
 
     // RefineByEval: evaluate all newly selected candidates in one batch so
-    // the engine can merge across claims (§6.2). A probe-decided candidate
-    // takes its synthesized outcome here and stays out of the batch.
+    // the engine can merge across claims (§6.2).
     std::vector<db::QueryInterner::Id> id_batch;
     std::vector<std::pair<size_t, uint64_t>> batch_owner;
-    std::vector<ProbeDecision> verify_batch;  // probe_verify only
     for (size_t i = 0; i < n; ++i) {
       for (const ScoredTriple& t : selections[i]) {
         uint64_t key = TripleKey(t.f, t.c, t.s);
-        if (outcomes[i].count(key) > 0) continue;
-        ++result.queries_evaluated;
         // Inserting reserves the triple, so it is never enqueued twice.
-        EvalOutcome& outcome = outcomes[i][key];
-        ProbeDecision d;
-        if (probing) {
-          Timer probe_timer;
-          d = prober->Probe(*spaces[i], t.f, t.c, t.s, claim_intervals[i],
-                            &result.probe_stats);
-          result.probe_stats.probe_seconds += probe_timer.ElapsedSeconds();
-        }
-        if (d.decided && !options_.probe_verify) {
-          // The magnitude family leaves known_result empty: no result,
-          // provably no match.
-          outcome.result = d.known_result;
-          outcome.matches = matches_claim(i, outcome.result);
-          outcome.probe_no_result = d.no_result;
-          continue;
-        }
+        if (!outcomes[i].try_emplace(key).second) continue;
+        ++result.queries_evaluated;
         id_batch.push_back(encoder_for(i).Encode(t.f, t.c, t.s));
-        if (probing && options_.probe_verify) verify_batch.push_back(d);
         batch_owner.emplace_back(i, key);
       }
     }
@@ -482,22 +415,6 @@ TranslationResult Translator::Translate(
       }
       for (size_t b = 0; b < batch_owner.size(); ++b) {
         auto [claim_idx, key] = batch_owner[b];
-        if (!verify_batch.empty()) {
-          // Consistency: fingerprint-equivalent candidates must agree.
-          auto [vit, fresh] = verify_results.emplace(id_batch[b], results[b]);
-          if (!fresh && !SameResult(vit->second, results[b])) {
-            ++result.probe_stats.probe_conflicts;
-          }
-          const ProbeDecision& pd = verify_batch[b];
-          // Soundness: the synthesized outcome must agree with the real
-          // one — the exact result for the empty-domain family, a
-          // non-matching result for the magnitude family.
-          if (pd.decided && (pd.no_result
-                                 ? matches_claim(claim_idx, results[b])
-                                 : !SameResult(pd.known_result, results[b]))) {
-            ++result.probe_stats.probe_conflicts;
-          }
-        }
         EvalOutcome& outcome = outcomes[claim_idx][key];
         outcome.result = results[b];
         outcome.matches = matches_claim(claim_idx, results[b]);
@@ -601,7 +518,6 @@ TranslationResult Translator::Translate(
       cand.prior = factors.of(t.f, t.c, t.s);
       cand.result = o.result;
       cand.matches = o.matches;
-      cand.probe_decided = o.probe_no_result;
       double post = cand.keyword_score;
       if (options_.use_priors) post *= cand.prior;
       if (options_.use_eval_results) {
@@ -619,48 +535,6 @@ TranslationResult Translator::Translate(
                 return a.probability > b.probability;
               });
   });
-
-  // Top-k backfill (DESIGN.md §17): magnitude-pruned candidates that made
-  // it into the reported head of a distribution carry no result; evaluate
-  // them for real so reports show actual values. Off-ledger by contract:
-  // the governor is detached, so the backfill charges nothing, and the
-  // naive strategy publishes no cube slices, so later claims and re-checks
-  // see identical state either way.
-  if (probing && !options_.probe_verify) {
-    std::vector<db::QueryInterner::Id> back_ids;
-    std::vector<std::pair<size_t, size_t>> back_owner;  // (claim, rank)
-    for (size_t i = 0; i < n; ++i) {
-      if (is_pinned(i)) continue;
-      ClaimDistribution& dist = result.distributions[i];
-      size_t limit = std::min(backfill_top_k, dist.ranked.size());
-      for (size_t r = 0; r < limit; ++r) {
-        const RankedCandidate& cand = dist.ranked[r];
-        if (!cand.probe_decided || cand.result.has_value()) continue;
-        back_ids.push_back(interner.InternQuery(cand.query));
-        back_owner.emplace_back(i, r);
-      }
-    }
-    if (!back_owner.empty()) {
-      Timer backfill_timer;
-      engine->SetGovernor(nullptr);
-      auto back = engine->EvaluateInterned(back_ids);
-      engine->SetGovernor(governor);
-      // The backfill is best-effort cosmetics: failures leave the (already
-      // correct) probe verdict in place, and must not leak into this run's
-      // recovery/error ledgers.
-      (void)engine->ConsumeRecoveryRecords();
-      (void)engine->ConsumeFailedQueries();
-      (void)engine->ConsumeHardError();
-      for (size_t b = 0; b < back.size(); ++b) {
-        auto [claim_idx, rank] = back_owner[b];
-        RankedCandidate& cand = result.distributions[claim_idx].ranked[rank];
-        cand.result = back[b];
-        cand.matches = matches_claim(claim_idx, back[b]);
-        ++result.probe_stats.backfilled;
-      }
-      result.probe_stats.probe_seconds += backfill_timer.ElapsedSeconds();
-    }
-  }
 
   // A claim counts as recovered only when every one of its failing queries
   // healed; a later quarantine overrides earlier successes.

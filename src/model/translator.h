@@ -10,7 +10,6 @@
 #include "model/candidate_space.h"
 #include "model/options.h"
 #include "model/priors.h"
-#include "model/probe.h"
 
 namespace aggchecker {
 namespace model {
@@ -24,11 +23,6 @@ struct RankedCandidate {
   bool matches = false;          ///< result rounds to the claimed value
   double keyword_score = 0.0;    ///< Pr(S_c | Q_c) factor
   double prior = 0.0;            ///< Pr(Q_c) factor under the final priors
-  /// The magnitude probe decided this candidate without evaluating it
-  /// (DESIGN.md §17): `matches` is provably false but `result` was never
-  /// computed. The top-k backfill re-evaluates flagged candidates that
-  /// reach the report, filling `result` with the real value.
-  bool probe_decided = false;
 };
 
 /// \brief Distribution over query candidates for one claim, ranked by
@@ -91,10 +85,6 @@ struct TranslationResult {
   /// translation) — extra re-checks are sound, missed invalidations are
   /// not. Empty for claims whose space references no table.
   std::vector<std::vector<std::string>> dependency_tables;
-  /// Verification-aware probe counters (DESIGN.md §17); all-zero unless
-  /// ModelOptions::probe_pruning is on, the engine runs the naive strategy
-  /// and the governor (if any) is unlimited.
-  ProbeStats probe_stats;
 };
 
 /// \brief Per-claim encoder from candidate triples (f, c, s) to interned
@@ -154,18 +144,12 @@ class Translator {
   /// point mass — the mechanism behind semi-automated checking, where "a
   /// clear signal received for one claim resolves ambiguities for many
   /// others" (§1).
-  ///
-  /// `backfill_top_k` is the reported depth: probe-decided candidates
-  /// ranked within the first `backfill_top_k` of a distribution are
-  /// re-evaluated after translation so they show real results. The
-  /// backfill runs off-ledger: no governor charges, no new cache entries.
   TranslationResult Translate(
       const std::vector<claims::Claim>& claims,
       const std::vector<claims::ClaimRelevance>& relevance,
       db::EvalEngine* engine,
       const std::vector<std::optional<db::SimpleAggregateQuery>>* pinned =
-          nullptr,
-      size_t backfill_top_k = 10) const;
+          nullptr) const;
 
   const ModelOptions& options() const { return options_; }
 

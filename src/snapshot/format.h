@@ -26,15 +26,13 @@ inline constexpr char kMagic[8] = {'A', 'G', 'G', 'S', 'N', 'A', 'P', '1'};
 /// History: 2 added the per-table data version to the kDatabase section so
 /// a loaded database resumes its ingestion version counters (DESIGN.md §16)
 /// instead of resetting them — a reset would silently revalidate cache
-/// entries stamped against the pre-snapshot versions. 3 appended the
+/// entries stamped against the pre-snapshot versions. 3 appended a
 /// per-column statistics blob (DESIGN.md §17) after each column's
-/// dictionary, so a loaded database probes candidates without a first-use
-/// stats scan; v2 files are rejected and rebuilt cleanly, never misparsed.
+/// dictionary; v2 files are rejected and rebuilt cleanly, never misparsed.
 /// 4 dropped that blob again: the reader could validate only its counts,
-/// yet the magnitude probe trusted its bounds to prove candidates
-/// non-matching, so a bad record changed verdicts without an error. Loaded
-/// columns build stats lazily from the mapped data; v3 files are rejected
-/// and rebuilt cleanly.
+/// yet verdicts depended on its numeric bounds, so a bad record changed
+/// verdicts without an error. Loaded columns derive their counts from the
+/// persisted dictionary; v3 files are rejected and rebuilt cleanly.
 inline constexpr uint32_t kFormatVersion = 4;
 
 /// Section kinds. A file carries each at most once; kDatabase is mandatory.

@@ -33,8 +33,7 @@ namespace fault_injection {
   X("fleet.schedule.pop")           \
   X("join.materialize")             \
   X("relation.cache.acquire")       \
-  X("snapshot.load.map")            \
-  X("translator.probe")
+  X("snapshot.load.map")
 
 /// The manifest as a vector, for tests and tooling.
 inline std::vector<std::string> ManifestPoints() {

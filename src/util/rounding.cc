@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 
 namespace aggchecker {
 namespace rounding {
@@ -121,45 +120,6 @@ bool Matches(double query_result, double claimed, RoundingMode mode,
     }
   }
   return false;
-}
-
-MatchInterval MatchableInterval(double claimed, RoundingMode mode,
-                                double tolerance) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const MatchInterval kWholeLine{-kInf, kInf};
-  const MatchInterval kEmpty{kInf, -kInf};
-  // Matches() rejects every pairing with a non-finite claim.
-  if (!std::isfinite(claimed)) return kEmpty;
-  switch (mode) {
-    case RoundingMode::kSignificantDigits: {
-      if (claimed == 0.0) return kWholeLine;
-      // RoundsTo accepts r when rounding r to the claim's own precision
-      // reproduces it. With d significant digits and magnitude mag, the
-      // claim's last digit is worth ulp = 10^(mag - d + 1); the true
-      // rounding half-width is at most ulp / 2 (the rounded value's
-      // magnitude never exceeds the claim's). A full ulp covers that with
-      // 2x margin; +0.51 covers the round-to-integer branch for integral
-      // claims, and the relative term absorbs the NearlyEqual epsilons.
-      int digits = SignificantDigitsOf(claimed);
-      double mag = std::floor(std::log10(std::fabs(claimed)));
-      double ulp = std::pow(10.0, mag - digits + 1);
-      double w = ulp + 0.51 + 1e-6 * std::max(std::fabs(claimed), 1.0);
-      return MatchInterval{claimed - w, claimed + w};
-    }
-    case RoundingMode::kExact: {
-      double w = 1e-8 * std::max(std::fabs(claimed), 1.0);
-      return MatchInterval{claimed - w, claimed + w};
-    }
-    case RoundingMode::kRelativeTolerance: {
-      if (tolerance >= 0.5) return kWholeLine;
-      // |r - c| <= tol * max(|r|, eps) and |r| <= |c| + |r - c| give
-      // |r - c| <= tol * max(|c|, eps) / (1 - tol); doubled for slack.
-      double w = 2.0 * tolerance * std::max(std::fabs(claimed), 1.0) /
-                 (1.0 - tolerance);
-      return MatchInterval{claimed - w, claimed + w};
-    }
-  }
-  return kWholeLine;
 }
 
 bool RoundsTo(double query_result, double claimed) {

@@ -48,32 +48,6 @@ enum class RoundingMode {
 bool Matches(double query_result, double claimed, RoundingMode mode,
              double tolerance = 0.05);
 
-/// \brief Closed interval [lo, hi]; lo > hi encodes the empty interval.
-struct MatchInterval {
-  double lo;
-  double hi;
-  bool empty() const { return lo > hi; }
-};
-
-/// \brief Conservative superset of the query results that match `claimed`.
-///
-/// Every finite `r` with `Matches(r, claimed, mode, tolerance) == true` lies
-/// inside the returned interval; results provably outside it can be declared
-/// mismatches without evaluating the query (the probe stage, DESIGN.md §17).
-/// The interval is deliberately widened (never tightened), so a probe can
-/// only ever skip work, not flip a verdict:
-///  - kSignificantDigits: one full unit of the claim's last significant
-///    digit (twice the true rounding half-width), plus the integral-claim
-///    round-to-integer branch, plus relative slack for the epsilon
-///    comparisons in RoundsTo.
-///  - kExact: the NearlyEqual epsilon band.
-///  - kRelativeTolerance: the |r - c| <= tol * max(|c|, 1) / (1 - tol) bound
-///    doubled; tolerances >= 0.5 return the whole line (no pruning).
-/// A claimed value of 0 under kSignificantDigits also returns the whole
-/// line; a non-finite claimed value matches nothing (empty interval).
-MatchInterval MatchableInterval(double claimed, RoundingMode mode,
-                                double tolerance = 0.05);
-
 /// \brief Significant digits of a textual numeric literal.
 ///
 /// Unlike SignificantDigitsOf(double), this preserves trailing fractional

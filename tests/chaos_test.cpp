@@ -123,17 +123,7 @@ TEST(ChaosTest, EveryFaultPointOneAtATime) {
     // fails the run — but it must leave a trace: either a pipeline failed
     // (fault outside the recovery layer's reach) or its report shows the
     // fault was healed or quarantined.
-    if (point == "translator.probe") {
-      // A faulted probe degrades to "don't prune" by contract: the
-      // candidate evaluates normally, the run stays fault-free, and no
-      // recovery trace exists. Only the naive run probes, so that is where
-      // the point is hit. Bit-identity under probe faults is pinned by the
-      // probe-pruning differential tests.
-      EXPECT_GT(fi::HitCount(point), 0u) << point << " was never hit";
-      EXPECT_TRUE(naive_status.ok())
-          << point << " must degrade to an unpruned run, not fail: "
-          << naive_status.ToString();
-    } else if (point != "join.materialize") {
+    if (point != "join.materialize") {
       EXPECT_GT(fi::HitCount(point), 0u) << point << " was never hit";
       const bool merged_visible =
           !merged_status.ok() || RecoveryVisible(merged_report);
@@ -159,8 +149,6 @@ TEST(ChaosTest, RecoveryDisabledNeverHealsSilently) {
   ASSERT_FALSE(points.empty());
   for (const std::string& point : points) {
     if (point == "join.materialize") continue;  // unhit on one-table runs
-    if (point == "translator.probe") continue;  // degrades to "don't prune"
-        // with or without recovery: fault-free success, no trace by design
     fi::Arm(point);
     core::CheckOptions merged_options;
     merged_options.recovery.enabled = false;

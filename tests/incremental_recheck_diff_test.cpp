@@ -125,45 +125,56 @@ TEST(IncrementalReCheckTest, NoChangeReChecksToFullSplice) {
 
 // The tentpole acceptance sweep: after appending rows to one table, ReCheck
 // must be bit-identical to a from-scratch Check on the mutated data at
-// 1/2/8 threads, with and without a governor budget. The cold reference
-// adopts the warm checker's catalog (the catalog deliberately does not
-// track ingestion) so both runs translate over the same fragment space.
+// 1/2/8 threads, with and without a governor budget, on merged+cached and
+// on naive. A naive run that trips a budget at more than one thread does
+// not reproduce itself (DESIGN.md §9), so naive runs budgeted at one
+// thread only. The cold reference adopts the warm checker's catalog (the
+// catalog deliberately does not track ingestion) so both runs translate
+// over the same fragment space.
 TEST(IncrementalReCheckTest, BitIdenticalAfterAppendAcrossThreadsAndBudgets) {
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    for (uint64_t budget : {uint64_t{0}, uint64_t{20'000}}) {
-      corpus::CorpusCase article = corpus::MakeDonationsJoinCase();
-      core::CheckOptions options;
-      options.model.num_threads = threads;
-      options.governor.max_row_scans = budget;
+  for (db::EvalStrategy strategy :
+       {db::EvalStrategy::kMergedCached, db::EvalStrategy::kNaive}) {
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      for (uint64_t budget : {uint64_t{0}, uint64_t{20'000}}) {
+        const bool naive = strategy == db::EvalStrategy::kNaive;
+        if (naive && budget > 0 && threads > 1) continue;
+        corpus::CorpusCase article = corpus::MakeDonationsJoinCase();
+        core::CheckOptions options;
+        options.strategy = strategy;
+        options.model.num_threads = threads;
+        options.governor.max_row_scans = budget;
 
-      auto warm = core::AggChecker::Create(&article.database, options);
-      ASSERT_TRUE(warm.ok());
-      auto prior = warm->Check(article.document);
-      ASSERT_TRUE(prior.ok());
+        auto warm = core::AggChecker::Create(&article.database, options);
+        ASSERT_TRUE(warm.ok());
+        auto prior = warm->Check(article.document);
+        ASSERT_TRUE(prior.ok());
 
-      ASSERT_TRUE(
-          corpus::AppendSyntheticRows(&article.database, "gifts", 20).ok());
-      auto recheck = warm->ReCheck(article.document, *prior);
-      ASSERT_TRUE(recheck.ok());
-      // Default options keep priors on, so every claim re-checks (coupled
-      // distributions), against caches the version sweep has narrowed.
-      EXPECT_EQ(recheck->claims_rechecked, prior->verdicts.size());
-      EXPECT_EQ(recheck->claims_spliced, 0u);
-      if (budget == 0) {
-        EXPECT_GT(recheck->eval_stats.cache_invalidations, 0u)
-            << "the version sweep must evict cubes reading the bumped table";
+        ASSERT_TRUE(
+            corpus::AppendSyntheticRows(&article.database, "gifts", 20).ok());
+        auto recheck = warm->ReCheck(article.document, *prior);
+        ASSERT_TRUE(recheck.ok());
+        // Default options keep priors on, so every claim re-checks (coupled
+        // distributions), against caches the version sweep has narrowed.
+        EXPECT_EQ(recheck->claims_rechecked, prior->verdicts.size());
+        EXPECT_EQ(recheck->claims_spliced, 0u);
+        // Naive has no cube cache to sweep.
+        if (budget == 0 && !naive) {
+          EXPECT_GT(recheck->eval_stats.cache_invalidations, 0u)
+              << "the version sweep must evict cubes reading the bumped table";
+        }
+
+        core::CheckOptions cold_options = options;
+        cold_options.prebuilt_catalog = warm->shared_catalog();
+        auto cold = core::AggChecker::Create(&article.database, cold_options);
+        ASSERT_TRUE(cold.ok());
+        auto reference = cold->Check(article.document);
+        ASSERT_TRUE(reference.ok());
+
+        EXPECT_EQ(core::FleetVerdictFingerprint(*recheck),
+                  core::FleetVerdictFingerprint(*reference))
+            << "diverged at strategy=" << static_cast<int>(strategy)
+            << " threads=" << threads << " budget=" << budget;
       }
-
-      core::CheckOptions cold_options = options;
-      cold_options.prebuilt_catalog = warm->shared_catalog();
-      auto cold = core::AggChecker::Create(&article.database, cold_options);
-      ASSERT_TRUE(cold.ok());
-      auto reference = cold->Check(article.document);
-      ASSERT_TRUE(reference.ok());
-
-      EXPECT_EQ(core::FleetVerdictFingerprint(*recheck),
-                core::FleetVerdictFingerprint(*reference))
-          << "diverged at threads=" << threads << " budget=" << budget;
     }
   }
 }

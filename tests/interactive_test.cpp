@@ -7,6 +7,7 @@
 #include "corpus/metrics.h"
 #include "test_fixtures.h"
 #include "text/document.h"
+#include "util/rounding.h"
 
 namespace aggchecker {
 namespace core {
@@ -44,8 +45,8 @@ TEST(InteractiveSessionTest, StartRunsAutomatedPass) {
 
 // A session's automated pass is Check: both run the checker's one
 // pipeline, so with nothing pinned or dismissed the reports agree bit for
-// bit. The naive strategy at report depth 20 probes candidates and must
-// backfill every probe-decided candidate it reports, in both paths.
+// bit. Every candidate reported down to depth 20 was evaluated, and its
+// `matches` flag agrees with its result.
 TEST(InteractiveSessionTest, AutomatedPassMatchesCheck) {
   CheckOptions options;
   options.strategy = db::EvalStrategy::kNaive;
@@ -65,6 +66,16 @@ TEST(InteractiveSessionTest, AutomatedPassMatchesCheck) {
     EXPECT_EQ(FleetVerdictFingerprint(session->report()),
               FleetVerdictFingerprint(*report))
         << article.name;
+    for (const ClaimVerdict& v : report->verdicts) {
+      for (const model::RankedCandidate& cand : v.top_queries) {
+        EXPECT_EQ(cand.matches,
+                  cand.result.has_value() &&
+                      rounding::Matches(
+                          *cand.result, v.claim.claimed_value(),
+                          rounding::RoundingMode::kSignificantDigits))
+            << article.name << ": reported match inconsistent with result";
+      }
+    }
   }
 }
 

@@ -148,8 +148,7 @@ TEST(CandidateSpaceTest, SubsetsHaveDistinctColumns) {
     std::set<int> cols(subset.restrict_cols.begin(),
                        subset.restrict_cols.end());
     EXPECT_EQ(cols.size(), subset.restrict_cols.size());
-    EXPECT_LE(subset.frags.size(),
-              static_cast<size_t>(options.max_predicates));
+    EXPECT_LE(subset.frags.size(), static_cast<size_t>(kMaxPredicates));
   }
 }
 
