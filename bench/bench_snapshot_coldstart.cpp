@@ -1,13 +1,13 @@
 // Snapshot cold start: build-from-CSV vs load-from-snapshot time-to-ready
 // on the Table 6 dataset (DESIGN.md §15). For every case the two paths end
-// in the same place — a checker whose database, fragment catalog, and
-// interned query space are fully built — and the untimed differential step
-// verifies their reports are bit-identical. The timed regions:
+// in the same place — a checker whose database and fragment catalog are
+// fully built — and the untimed differential step verifies their reports
+// are bit-identical. The timed regions:
 //
 //   build:  ImportCase (CSV parse -> typed columns) + AggChecker::Create
 //           (fragment enumeration + three inverted indexes)
 //   load:   LoadSnapshot (mmap, zero-copy columns, decoded catalog)
-//           + AggChecker::Create with the prebuilt catalog + SeedInterner
+//           + AggChecker::Create with the prebuilt catalog
 //
 // Gate (scripts/check.sh snapshot-smoke runs --smoke): load must be >= 5x
 // faster than build, and reports must not diverge. Results land in
@@ -92,12 +92,9 @@ int main(int argc, char** argv) {
     {
       auto seeder = core::AggChecker::Create(&seed_case->database, {});
       if (!seeder.ok()) return 1;
-      auto warm = seeder->Check(seed_case->document);  // warm the interner
-      if (!warm.ok()) return 1;
       snapshot::SnapshotStats stats;
-      Status saved = snapshot::WriteSnapshot(
-          snap_path, seeder->database(), &seeder->catalog(),
-          &seeder->engine().interner(), &stats);
+      Status saved = snapshot::WriteSnapshot(snap_path, seeder->database(),
+                                             &seeder->catalog(), &stats);
       if (!saved.ok()) {
         std::fprintf(stderr, "snapshot %s: %s\n", original.name.c_str(),
                      saved.ToString().c_str());
@@ -106,7 +103,6 @@ int main(int argc, char** argv) {
       total_bytes.file_bytes += stats.file_bytes;
       total_bytes.database_bytes += stats.database_bytes;
       total_bytes.catalog_bytes += stats.catalog_bytes;
-      total_bytes.interner_bytes += stats.interner_bytes;
     }
 
     // Timed build path: CSV -> database -> catalog.
@@ -118,7 +114,7 @@ int main(int argc, char** argv) {
     build_seconds += build_timer.ElapsedSeconds();
 
     // Timed load path: mmap -> zero-copy database + decoded catalog ->
-    // checker with the prebuilt catalog -> interner replay.
+    // checker with the prebuilt catalog.
     Timer load_timer;
     auto loaded = snapshot::LoadSnapshot(snap_path);
     if (!loaded.ok()) {
@@ -131,9 +127,6 @@ int main(int argc, char** argv) {
     auto loaded_checker =
         core::AggChecker::Create(&loaded->database, load_options);
     if (!loaded_checker.ok()) return 1;
-    Status seeded =
-        loaded->SeedInterner(&loaded_checker->engine().interner());
-    if (!seeded.ok()) return 1;
     load_seconds += load_timer.ElapsedSeconds();
 
     // Differential step (untimed): both cold starts must report
@@ -153,12 +146,10 @@ int main(int argc, char** argv) {
   std::printf("load-from-snapshot: %8.3fs\n", load_seconds);
   std::printf("speedup:            x%.1f (gate: >= x%.0f)\n", speedup,
               kSpeedupGate);
-  std::printf("snapshot bytes:     %llu (database %llu, catalog %llu, "
-              "interner %llu)\n",
+  std::printf("snapshot bytes:     %llu (database %llu, catalog %llu)\n",
               static_cast<unsigned long long>(total_bytes.file_bytes),
               static_cast<unsigned long long>(total_bytes.database_bytes),
-              static_cast<unsigned long long>(total_bytes.catalog_bytes),
-              static_cast<unsigned long long>(total_bytes.interner_bytes));
+              static_cast<unsigned long long>(total_bytes.catalog_bytes));
   std::printf("bit-identity build-vs-load over %zu cases: %s\n",
               cases.size(), bit_identical ? "OK" : "FAILED");
 
@@ -187,12 +178,10 @@ int main(int argc, char** argv) {
                  build_seconds, load_seconds, speedup, kSpeedupGate);
     std::fprintf(out,
                  "  \"snapshot_bytes\": %llu,\n  \"section_bytes\": "
-                 "{\"database\": %llu, \"catalog\": %llu, \"interner\": "
-                 "%llu},\n",
+                 "{\"database\": %llu, \"catalog\": %llu},\n",
                  static_cast<unsigned long long>(total_bytes.file_bytes),
                  static_cast<unsigned long long>(total_bytes.database_bytes),
-                 static_cast<unsigned long long>(total_bytes.catalog_bytes),
-                 static_cast<unsigned long long>(total_bytes.interner_bytes));
+                 static_cast<unsigned long long>(total_bytes.catalog_bytes));
     std::fprintf(out, "  \"bit_identical\": %s,\n  ",
                  bit_identical ? "true" : "false");
     bench::WriteThreadReportJson(out, bench::MakeThreadReport(1));

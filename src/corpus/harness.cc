@@ -109,23 +109,15 @@ CorpusRunResult RunOnCorpus(const std::vector<CorpusCase>& corpus,
 
     auto checker = core::AggChecker::Create(database, case_options);
     if (!checker.ok()) continue;
-    if (loaded.has_value() && loaded->has_interner()) {
-      Status seeded = loaded->SeedInterner(&checker->engine().interner());
-      if (!seeded.ok()) {
-        // A diverged replay leaves the engine unseeded-but-correct: extra
-        // interned components never change verdicts, only id pre-warming.
-        std::fprintf(stderr, "warning: %s\n", seeded.message().c_str());
-      }
-    }
     Timer timer;
     auto report = checker->Check(test_case.document);
     if (!report.ok()) continue;
+    result.total_seconds += timer.ElapsedSeconds();
     if (snapshot.save) {
       snapshot::SnapshotStats write_stats;
       Status saved = snapshot::WriteSnapshot(
           SnapshotPathForCase(snapshot.dir, test_case.name),
-          checker->database(), &checker->catalog(),
-          &checker->engine().interner(), &write_stats);
+          checker->database(), &checker->catalog(), &write_stats);
       if (!saved.ok()) {
         std::fprintf(stderr, "warning: snapshot save failed: %s\n",
                      saved.message().c_str());
@@ -134,7 +126,6 @@ CorpusRunResult RunOnCorpus(const std::vector<CorpusCase>& corpus,
         snapshot_stats->snapshot_bytes += write_stats.file_bytes;
       }
     }
-    result.total_seconds += timer.ElapsedSeconds();
     result.query_seconds += report->eval_stats.query_seconds;
     result.queries_evaluated += report->queries_evaluated;
     result.cube_queries += report->eval_stats.cube_queries;

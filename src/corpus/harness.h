@@ -63,8 +63,7 @@ CorpusRunResult RunOnCorpus(const std::vector<CorpusCase>& corpus,
 Status AppendSyntheticRows(db::Database* db, const std::string& table,
                            size_t num_rows);
 
-/// \brief Snapshot persistence wiring for corpus runs — the library side of
-/// the bench binaries' `--snapshot=<dir>` flag (DESIGN.md §15).
+/// \brief Snapshot persistence wiring for corpus runs (DESIGN.md §15).
 struct SnapshotRunOptions {
   std::string dir;    ///< directory holding one `<case>.snap` per case
   bool save = false;  ///< write each case's built state after checking it
@@ -84,12 +83,12 @@ std::string SnapshotPathForCase(const std::string& dir,
                                 const std::string& case_name);
 
 /// RunOnCorpus with snapshot persistence: with `snapshot.load`, each case
-/// starts from its mapped snapshot — database, catalog, and interned query
-/// space — and any unusable snapshot (missing, corrupt, version-mismatched)
-/// degrades to a full rebuild with a warning on stderr, never an error.
-/// Reports are bit-identical either way (the snapshot differential tests
-/// enumerate this). With `snapshot.save`, each case's fully built state is
-/// written after its Check completes (so the interner is warm).
+/// starts from its mapped snapshot — database and catalog — and any
+/// unusable snapshot (missing, corrupt, version-mismatched) degrades to a
+/// full rebuild with a warning on stderr, never an error. Reports are
+/// bit-identical either way (the snapshot differential tests enumerate
+/// this). With `snapshot.save`, each case's fully built state is written
+/// after its Check completes, outside `total_seconds`.
 CorpusRunResult RunOnCorpus(const std::vector<CorpusCase>& corpus,
                             core::CheckOptions options,
                             const SnapshotRunOptions& snapshot,

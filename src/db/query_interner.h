@@ -116,34 +116,12 @@ class QueryInterner {
   size_t num_predicates() const { return predicates_.size(); }
   size_t num_queries() const { return queries_.size(); }
 
-  /// --- Snapshot accessors ---------------------------------------------
-  /// Component counts plus raw candidate parts, letting the snapshot
-  /// writer walk every store in first-intern order. All ids are assigned
-  /// densely in that order, so replaying the serialized components through
-  /// the Intern* methods above reproduces every id exactly (the loader
-  /// verifies this and treats any mismatch as corruption).
-  size_t num_values() const { return values_.size(); }
-  size_t num_pred_lists() const { return pred_lists_.size(); }
-  size_t num_aggregates() const { return aggregates_.size(); }
-  size_t num_table_sets() const { return table_sets_.size(); }
-  size_t num_dim_sets() const { return dim_sets_.size(); }
-  struct CandidateParts {
-    AggFn fn = AggFn::kCount;
-    Id agg_column = kNone;
-    Id predlist = kNone;
-  };
-  CandidateParts candidate(Id query_id) const {
-    const QueryRecord& q = queries_[query_id];
-    return CandidateParts{q.fn, q.agg_column, q.predlist};
-  }
-
  private:
   /// Hash-consed store of ordered small integer lists.
   class IdListInterner {
    public:
     Id Intern(const std::vector<Id>& ids);
     const std::vector<Id>& list(Id id) const { return lists_[id]; }
-    size_t size() const { return lists_.size(); }
 
    private:
     struct ListHasher {

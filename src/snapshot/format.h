@@ -39,7 +39,8 @@ inline constexpr uint32_t kFormatVersion = 4;
 enum class SectionKind : uint32_t {
   kDatabase = 1,
   kCatalog = 2,
-  kInterner = 3,
+  // Kind 3 held a replay of the engine's query interner in older version-4
+  // files. Readers skip it like any unknown kind; never reuse it.
 };
 
 /// Fixed-size header: magic, version, section count, and a checksum over
@@ -121,6 +122,10 @@ class ByteReader {
 
   bool ok() const { return !failed_; }
 
+  /// Latches the failure flag as an overrun does, for a field that is in
+  /// bounds but malformed (an unknown value tag).
+  void Fail() { failed_ = true; }
+
   uint8_t U8() { return ReadScalar<uint8_t>(); }
   uint32_t U32() { return ReadScalar<uint32_t>(); }
   uint64_t U64() { return ReadScalar<uint64_t>(); }
@@ -137,10 +142,10 @@ class ByteReader {
 
   /// Skips padding so the cursor's absolute file offset is 8-aligned
   /// (mirrors ByteWriter::Align8; `base_offset_` is the section's absolute
-  /// offset, itself 8-aligned, so relative alignment equals absolute).
-  void Align8() {
-    while ((base_offset_ + pos_) % 8 != 0) (void)U8();
-  }
+  /// offset, itself 8-aligned, so relative alignment equals absolute). One
+  /// Bytes call, so a failed reader, whose cursor no longer moves, cannot
+  /// spin here.
+  void Align8() { (void)Bytes((8 - (base_offset_ + pos_) % 8) % 8); }
 
   /// A zero-copy view of `count` elements of T straight out of the mapped
   /// image. Requires a preceding Align8 on both sides. Null on overrun.

@@ -13,7 +13,6 @@ namespace {
 
 using db::Column;
 using db::ColumnSnapshotData;
-using db::QueryInterner;
 using db::Value;
 using db::ValueType;
 using fragments::FragmentCatalog;
@@ -49,16 +48,17 @@ void WriteValue(ByteWriter* w, const Value& v) {
 
 Value ReadValue(ByteReader* r) {
   switch (static_cast<ValueType>(r->U8())) {
+    case ValueType::kNull:
+      return Value::Null();
     case ValueType::kLong:
       return Value(r->I64());
     case ValueType::kDouble:
       return Value(r->F64());
     case ValueType::kString:
       return Value(r->Str());
-    case ValueType::kNull:
-    default:
-      return Value::Null();
   }
+  r->Fail();  // an unknown tag is malformed, never a NULL
+  return Value::Null();
 }
 
 // ---------------------------------------------------------------------------
@@ -199,29 +199,47 @@ Result<std::unique_ptr<Column>> ReadColumn(
   r->Align8();
   data.codes = r->Array<int32_t>(rows);
   r->Align8();
-  if (!r->ok()) return Corrupt("truncated column payload");
+  if (!r->ok()) return Corrupt("truncated or malformed column payload");
 
-  // Every cell tag must have a backing array, or materialization would
-  // dereference null (tags are checksummed, but a buggy writer is cheaper
-  // to catch here than in a crash).
+  // The arrays must agree with each other as a build would leave them, or
+  // a kernel, the boxed values and the dictionary would each read the
+  // column differently, some past an array's end. The checksums passed,
+  // so a failure here is a writer bug or a deliberate edit.
+  if ((type == ValueType::kLong || type == ValueType::kDouble) &&
+      data.doubles == nullptr) {
+    return Corrupt("numeric column without doubles");
+  }
+  if (data.string_offsets != nullptr && data.string_offsets[0] != 0) {
+    return Corrupt("string offsets do not start at 0");
+  }
+  uint64_t null_cells = 0;
   for (uint64_t row = 0; row < rows; ++row) {
-    switch (static_cast<ValueType>(data.tags[row])) {
-      case ValueType::kLong:
-        if (data.longs == nullptr) return Corrupt("long cell without array");
-        break;
-      case ValueType::kDouble:
-        if (data.doubles == nullptr) {
-          return Corrupt("double cell without array");
-        }
-        break;
-      case ValueType::kString:
-        if (data.string_heap == nullptr) {
-          return Corrupt("string cell without heap");
-        }
-        break;
-      case ValueType::kNull:
-        break;
+    if (data.tags[row] > static_cast<uint8_t>(ValueType::kString)) {
+      return Corrupt("unknown cell tag");
     }
+    const ValueType cell = static_cast<ValueType>(data.tags[row]);
+    const bool is_null = cell == ValueType::kNull;
+    if ((cell == ValueType::kLong && data.longs == nullptr) ||
+        (cell == ValueType::kDouble && data.doubles == nullptr) ||
+        (cell == ValueType::kString && data.string_heap == nullptr)) {
+      return Corrupt("cell without backing array");
+    }
+    if ((data.nulls[row] != 0) != is_null) {
+      return Corrupt("NULL flag disagrees with cell tag");
+    }
+    null_cells += is_null ? 1 : 0;
+    const int32_t code = data.codes[row];
+    if (is_null ? code != -1
+                : (code < 0 || static_cast<uint32_t>(code) >= distinct_count)) {
+      return Corrupt("dictionary code out of range");
+    }
+    if (data.string_offsets != nullptr &&
+        data.string_offsets[row + 1] < data.string_offsets[row]) {
+      return Corrupt("string offsets decrease");
+    }
+  }
+  if (null_cells != null_count) {
+    return Corrupt("NULL count disagrees with NULL flags");
   }
   return Column::FromSnapshot(std::move(name), type, std::move(data));
 }
@@ -386,12 +404,16 @@ Result<FragmentCatalog> ReadCatalog(ByteReader* r) {
     parts.fragments[t].reserve(num_fragments);
     for (uint32_t i = 0; i < num_fragments; ++i) {
       QueryFragment f;
-      f.type = static_cast<FragmentType>(r->U8());
-      f.fn = static_cast<db::AggFn>(r->U8());
+      const uint8_t type = r->U8();
+      const uint8_t fn = r->U8();
+      f.type = static_cast<FragmentType>(type);
+      f.fn = static_cast<db::AggFn>(fn);
       f.column.table = r->Str();
       f.column.column = r->Str();
       f.value = ReadValue(r);
-      if (!r->ok()) return Corrupt("truncated catalog fragment");
+      if (!r->ok() || type != t || fn >= db::kNumAggFns) {
+        return Corrupt("truncated or malformed catalog fragment");
+      }
       parts.fragments[t].push_back(std::move(f));
     }
     auto index = ReadIndex(r);
@@ -411,149 +433,6 @@ Result<FragmentCatalog> ReadCatalog(ByteReader* r) {
   }
   if (!r->ok()) return Corrupt("truncated catalog");
   return FragmentCatalog::FromParts(std::move(parts));
-}
-
-// ---------------------------------------------------------------------------
-// Interner section: every component store in first-intern order. Ids are
-// dense in that order, so a replay through the public Intern* methods
-// reproduces them exactly; SeedInterner verifies each id as it goes.
-// ---------------------------------------------------------------------------
-
-void WriteInterner(ByteWriter* w, const QueryInterner& interner) {
-  using Id = QueryInterner::Id;
-  w->U32(static_cast<uint32_t>(interner.num_columns()));
-  for (Id i = 0; i < interner.num_columns(); ++i) {
-    w->Str(interner.column(i).table);
-    w->Str(interner.column(i).column);
-  }
-  w->U32(static_cast<uint32_t>(interner.num_values()));
-  for (Id i = 0; i < interner.num_values(); ++i) {
-    WriteValue(w, interner.value(i));
-  }
-  w->U32(static_cast<uint32_t>(interner.num_predicates()));
-  for (Id i = 0; i < interner.num_predicates(); ++i) {
-    w->U32(interner.predicate(i).column);
-    w->U32(interner.predicate(i).value);
-  }
-  w->U32(static_cast<uint32_t>(interner.num_pred_lists()));
-  for (Id i = 0; i < interner.num_pred_lists(); ++i) {
-    const std::vector<Id>& list = interner.pred_list(i);
-    w->U32(static_cast<uint32_t>(list.size()));
-    for (Id id : list) w->U32(id);
-  }
-  w->U32(static_cast<uint32_t>(interner.num_aggregates()));
-  for (Id i = 0; i < interner.num_aggregates(); ++i) {
-    w->U8(static_cast<uint8_t>(interner.aggregate(i).fn));
-    w->U32(interner.aggregate(i).column);
-  }
-  w->U32(static_cast<uint32_t>(interner.num_table_sets()));
-  for (Id i = 0; i < interner.num_table_sets(); ++i) {
-    w->Str(interner.relation_key(i));
-  }
-  w->U32(static_cast<uint32_t>(interner.num_dim_sets()));
-  for (Id i = 0; i < interner.num_dim_sets(); ++i) {
-    const std::vector<Id>& list = interner.dim_set(i);
-    w->U32(static_cast<uint32_t>(list.size()));
-    for (Id id : list) w->U32(id);
-  }
-  w->U32(static_cast<uint32_t>(interner.num_queries()));
-  for (Id i = 0; i < interner.num_queries(); ++i) {
-    QueryInterner::CandidateParts parts = interner.candidate(i);
-    w->U8(static_cast<uint8_t>(parts.fn));
-    w->U32(parts.agg_column);
-    w->U32(parts.predlist);
-  }
-  w->Align8();
-}
-
-Status ReplayInterner(ByteReader* r, QueryInterner* interner) {
-  using Id = QueryInterner::Id;
-  auto mismatch = [](const char* what) {
-    return Status::Internal(
-        strings::Format("snapshot: interner replay diverged at %s", what));
-  };
-
-  uint32_t n = r->U32();
-  if (!r->ok() || n > r->remaining()) return Corrupt("interner columns");
-  for (uint32_t i = 0; i < n; ++i) {
-    db::ColumnRef ref{r->Str(), r->Str()};
-    if (!r->ok()) return Corrupt("interner columns");
-    if (interner->InternColumn(ref) != i) return mismatch("column");
-  }
-  n = r->U32();
-  if (!r->ok() || n > r->remaining()) return Corrupt("interner values");
-  for (uint32_t i = 0; i < n; ++i) {
-    Value v = ReadValue(r);
-    if (!r->ok()) return Corrupt("interner values");
-    if (interner->InternValue(v) != i) return mismatch("value");
-  }
-  n = r->U32();
-  if (!r->ok() || n > r->remaining()) return Corrupt("interner predicates");
-  for (uint32_t i = 0; i < n; ++i) {
-    Id column = r->U32();
-    Id value = r->U32();
-    if (!r->ok() || column >= interner->num_columns() ||
-        value >= interner->num_values()) {
-      return Corrupt("interner predicates");
-    }
-    if (interner->InternPredicate(interner->column(column),
-                                  interner->value(value)) != i) {
-      return mismatch("predicate");
-    }
-  }
-  n = r->U32();
-  if (!r->ok() || n > r->remaining()) return Corrupt("interner pred lists");
-  for (uint32_t i = 0; i < n; ++i) {
-    uint32_t len = r->U32();
-    if (!r->ok() || len > r->remaining()) return Corrupt("interner pred lists");
-    std::vector<Id> ids(len);
-    for (uint32_t j = 0; j < len; ++j) ids[j] = r->U32();
-    if (!r->ok()) return Corrupt("interner pred lists");
-    if (interner->InternPredList(ids) != i) return mismatch("pred list");
-  }
-  n = r->U32();
-  if (!r->ok() || n > r->remaining()) return Corrupt("interner aggregates");
-  for (uint32_t i = 0; i < n; ++i) {
-    db::AggFn fn = static_cast<db::AggFn>(r->U8());
-    Id column = r->U32();
-    if (!r->ok()) return Corrupt("interner aggregates");
-    if (interner->InternAggregate(fn, column) != i) {
-      return mismatch("aggregate");
-    }
-  }
-  n = r->U32();
-  if (!r->ok() || n > r->remaining()) return Corrupt("interner table sets");
-  for (uint32_t i = 0; i < n; ++i) {
-    std::string key = r->Str();
-    if (!r->ok()) return Corrupt("interner table sets");
-    // The canonical key is sorted lower-cased names joined by ',', which
-    // InternTableSet re-canonicalizes to itself.
-    if (interner->InternTableSet(strings::Split(key, ',')) != i) {
-      return mismatch("table set");
-    }
-  }
-  n = r->U32();
-  if (!r->ok() || n > r->remaining()) return Corrupt("interner dim sets");
-  for (uint32_t i = 0; i < n; ++i) {
-    uint32_t len = r->U32();
-    if (!r->ok() || len > r->remaining()) return Corrupt("interner dim sets");
-    std::vector<Id> ids(len);
-    for (uint32_t j = 0; j < len; ++j) ids[j] = r->U32();
-    if (!r->ok()) return Corrupt("interner dim sets");
-    if (interner->InternDimSet(ids) != i) return mismatch("dim set");
-  }
-  n = r->U32();
-  if (!r->ok() || n > r->remaining()) return Corrupt("interner queries");
-  for (uint32_t i = 0; i < n; ++i) {
-    db::AggFn fn = static_cast<db::AggFn>(r->U8());
-    Id agg_column = r->U32();
-    Id predlist = r->U32();
-    if (!r->ok()) return Corrupt("interner queries");
-    if (interner->InternCandidate(fn, agg_column, predlist) != i) {
-      return mismatch("query");
-    }
-  }
-  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -592,7 +471,6 @@ Status WriteFileAtomic(const std::string& path, const FileHeader& header,
 
 Status WriteSnapshot(const std::string& path, const db::Database& db,
                      const fragments::FragmentCatalog* catalog,
-                     const db::QueryInterner* interner,
                      SnapshotStats* stats) {
   ByteWriter db_section;
   Status s = WriteDatabase(&db_section, db);
@@ -600,16 +478,11 @@ Status WriteSnapshot(const std::string& path, const db::Database& db,
 
   ByteWriter catalog_section;
   if (catalog != nullptr) WriteCatalog(&catalog_section, *catalog);
-  ByteWriter interner_section;
-  if (interner != nullptr) WriteInterner(&interner_section, *interner);
 
   std::vector<std::pair<SectionKind, const ByteWriter*>> sections;
   sections.push_back({SectionKind::kDatabase, &db_section});
   if (catalog != nullptr) {
     sections.push_back({SectionKind::kCatalog, &catalog_section});
-  }
-  if (interner != nullptr) {
-    sections.push_back({SectionKind::kInterner, &interner_section});
   }
 
   FileHeader header;
@@ -644,7 +517,6 @@ Status WriteSnapshot(const std::string& path, const db::Database& db,
     stats->file_bytes = offset;
     stats->database_bytes = db_section.size();
     stats->catalog_bytes = catalog_section.size();
-    stats->interner_bytes = interner_section.size();
   }
   return Status::OK();
 }
@@ -682,7 +554,6 @@ Result<LoadedSnapshot> LoadSnapshot(const std::string& path) {
   std::memcpy(table.data(), data + sizeof(FileHeader), table_bytes);
   const SectionEntry* db_entry = nullptr;
   const SectionEntry* catalog_entry = nullptr;
-  const SectionEntry* interner_entry = nullptr;
   for (const SectionEntry& entry : table) {
     if (entry.offset % 8 != 0 || entry.offset > size ||
         entry.size > size - entry.offset) {
@@ -699,9 +570,6 @@ Result<LoadedSnapshot> LoadSnapshot(const std::string& path) {
       case SectionKind::kCatalog:
         catalog_entry = &entry;
         break;
-      case SectionKind::kInterner:
-        interner_entry = &entry;
-        break;
       default:
         break;  // unknown sections are ignored, not fatal
     }
@@ -709,7 +577,6 @@ Result<LoadedSnapshot> LoadSnapshot(const std::string& path) {
   if (db_entry == nullptr) return Corrupt("no database section");
 
   LoadedSnapshot loaded;
-  loaded.image_ = image;
   {
     ByteReader r(data + db_entry->offset, db_entry->size, db_entry->offset);
     auto database = ReadDatabase(&r, image);
@@ -724,19 +591,7 @@ Result<LoadedSnapshot> LoadSnapshot(const std::string& path) {
     loaded.catalog = std::make_shared<const fragments::FragmentCatalog>(
         std::move(*catalog));
   }
-  if (interner_entry != nullptr) {
-    loaded.has_interner_ = true;
-    loaded.interner_offset_ = interner_entry->offset;
-    loaded.interner_size_ = interner_entry->size;
-  }
   return loaded;
-}
-
-Status LoadedSnapshot::SeedInterner(db::QueryInterner* interner) const {
-  if (!has_interner_) return Status::OK();
-  ByteReader r(image_->data() + interner_offset_, interner_size_,
-               interner_offset_);
-  return ReplayInterner(&r, interner);
 }
 
 }  // namespace snapshot

@@ -4,24 +4,24 @@
 //
 // A snapshot captures everything a worker process otherwise rebuilds at
 // startup — `Database` tables with per-column typed arrays, dictionaries
-// and `Column::Flat()` views, the fragment catalog with its three inverted
-// indexes, and the interned query space — in one checksummed file. Loading
-// memory-maps the file and constructs columns whose flat views alias the
-// mapping directly (zero copy), so N workers loading the same snapshot
-// share one page-cache-resident image. A loaded state is bit-identical to
+// and `Column::Flat()` views, and the fragment catalog with its three
+// inverted indexes — in one checksummed file. Loading memory-maps the file
+// and constructs columns whose flat views alias the mapping directly (zero
+// copy), so N workers loading the same snapshot share one
+// page-cache-resident image. A loaded state is bit-identical to
 // a freshly ingested one: the differential tests compare CheckReport
 // fingerprints across thread counts and governor budgets.
 //
 // Snapshots are a cache, never a source of truth: any mismatch — magic,
-// format version, truncation, checksum — returns a clean Status and the
-// caller falls back to a full rebuild (with a warning, not an error).
+// format version, truncation, checksum, a payload whose arrays disagree —
+// returns a clean Status and the caller falls back to a full rebuild (with
+// a warning, not an error).
 
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "db/database.h"
-#include "db/query_interner.h"
 #include "fragments/catalog.h"
 #include "snapshot/format.h"
 #include "util/status.h"
@@ -35,52 +35,27 @@ struct SnapshotStats {
   uint64_t file_bytes = 0;
   uint64_t database_bytes = 0;
   uint64_t catalog_bytes = 0;
-  uint64_t interner_bytes = 0;
 };
 
-/// \brief A loaded snapshot: the database, the catalog (if the section was
-/// present), and a replayable image of the interned query space.
+/// \brief A loaded snapshot: the database and the catalog (if the section
+/// was present).
 ///
-/// `image` pins the underlying mapping; every column's flat view and codes
-/// alias it, so LoadedSnapshot (or the Database moved out of it — the
-/// columns each hold their own keepalive reference) must stay alive while
-/// the data is in use.
-class LoadedSnapshot {
- public:
+/// Each column's arrays alias the mapped image, and each column holds its
+/// own keepalive reference on it, so the database may outlive this struct;
+/// the catalog is decoded into owned memory.
+struct LoadedSnapshot {
   db::Database database;
   /// Null when the snapshot carried no catalog section.
   std::shared_ptr<const fragments::FragmentCatalog> catalog;
-
-  bool has_interner() const { return has_interner_; }
-
-  /// Replays the snapshot's interned query space into `interner` (normally
-  /// a fresh engine's), reproducing every id the saving process assigned.
-  /// Fails cleanly — without corrupting `interner` semantics — if the
-  /// replay disagrees with the recorded ids (treated as corruption by
-  /// callers, which then fall back to an unseeded engine). No-op when the
-  /// snapshot has no interner section.
-  Status SeedInterner(db::QueryInterner* interner) const;
-
- private:
-  friend Result<LoadedSnapshot> LoadSnapshot(const std::string& path);
-
-  std::shared_ptr<const MappedFile> image_;
-  bool has_interner_ = false;
-
-  /// Raw interner section bounds within the image (decoded on demand by
-  /// SeedInterner; the section's checksum was verified at load).
-  size_t interner_offset_ = 0;
-  size_t interner_size_ = 0;
 };
 
 /// Serializes the built state to `path` (written to a temp file, then
 /// renamed — a crashed writer never leaves a half-snapshot behind).
-/// `catalog` and `interner` are optional; passing null omits the section.
-/// Forces every column's dictionary and flat view to build first, so the
-/// snapshot captures the fully warmed state.
+/// `catalog` is optional; passing null omits the section. Forces every
+/// column's dictionary and flat view to build first, so the snapshot
+/// captures the fully warmed state.
 Status WriteSnapshot(const std::string& path, const db::Database& db,
                      const fragments::FragmentCatalog* catalog,
-                     const db::QueryInterner* interner,
                      SnapshotStats* stats = nullptr);
 
 /// Maps and validates `path`, reconstructing the database (zero-copy

@@ -157,9 +157,7 @@ void RunAllDrivers() {
   }
   {
     const std::string path = "chaos_matrix_driver.snap";
-    ASSERT_TRUE(
-        snapshot::WriteSnapshot(path, article.database, nullptr, nullptr)
-            .ok());
+    ASSERT_TRUE(snapshot::WriteSnapshot(path, article.database, nullptr).ok());
     auto loaded = snapshot::LoadSnapshot(path);  // snapshot.load.map
     ASSERT_TRUE(loaded.ok());
     std::remove(path.c_str());

@@ -3,7 +3,9 @@
 // produce CheckReports byte-identical to a freshly built one at every
 // thread count and governor budget — and the corruption ladder: a
 // truncated file, a flipped payload byte, and a future-format header each
-// fail with a clean descriptive Status and degrade to a full rebuild.
+// fail with a clean descriptive Status and degrade to a full rebuild, and
+// patched payload bytes behind rewritten checksums fail the reader's
+// structural checks.
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
@@ -19,8 +21,8 @@
 #include "core/fleet_scheduler.h"
 #include "corpus/embedded_articles.h"
 #include "corpus/harness.h"
-#include "db/query_interner.h"
 #include "db/relation_cache.h"
+#include "fragments/catalog.h"
 #include "snapshot/format.h"
 #include "snapshot/snapshot.h"
 #include "test_fixtures.h"
@@ -46,8 +48,137 @@ void WriteFile(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-// Save -> load -> check: the loaded database, catalog, and interner image
-// reproduce the saving checker's verdicts byte for byte.
+template <typename T>
+T Peek(const std::string& bytes, size_t at) {
+  T value{};
+  if (at + sizeof(T) > bytes.size()) {
+    ADD_FAILURE() << "read past the end of the file at " << at;
+    return value;
+  }
+  std::memcpy(&value, bytes.data() + at, sizeof(T));
+  return value;
+}
+
+template <typename T>
+void Poke(std::string* bytes, size_t at, T value) {
+  std::memcpy(&(*bytes)[at], &value, sizeof(T));
+}
+
+std::vector<snapshot::SectionEntry> SectionTable(const std::string& bytes) {
+  const auto header = Peek<snapshot::FileHeader>(bytes, 0);
+  std::vector<snapshot::SectionEntry> table(header.section_count);
+  std::memcpy(table.data(), bytes.data() + sizeof(header),
+              table.size() * sizeof(snapshot::SectionEntry));
+  return table;
+}
+
+/// Recomputes every section checksum and the section-table checksum, so a
+/// patched payload byte reaches the reader's structural checks instead of
+/// failing on its checksum.
+void RewriteChecksums(std::string* bytes) {
+  const auto* data = reinterpret_cast<const uint8_t*>(bytes->data());
+  std::vector<snapshot::SectionEntry> table = SectionTable(*bytes);
+  for (snapshot::SectionEntry& entry : table) {
+    entry.checksum = snapshot::Fnv1a64(data + entry.offset, entry.size);
+  }
+  const size_t table_bytes = table.size() * sizeof(snapshot::SectionEntry);
+  std::memcpy(&(*bytes)[sizeof(snapshot::FileHeader)], table.data(),
+              table_bytes);
+  auto header = Peek<snapshot::FileHeader>(*bytes, 0);
+  header.table_checksum =
+      snapshot::Fnv1a64(data + sizeof(snapshot::FileHeader), table_bytes);
+  Poke(bytes, 0, header);
+}
+
+size_t SectionOffset(const std::string& bytes, snapshot::SectionKind kind) {
+  for (const snapshot::SectionEntry& entry : SectionTable(bytes)) {
+    if (entry.kind == static_cast<uint32_t>(kind)) return entry.offset;
+  }
+  ADD_FAILURE() << "no section of kind " << static_cast<uint32_t>(kind);
+  return 0;
+}
+
+/// One table with one STRING column of `rows` >= 2 cells and no NULLs,
+/// alternating "a" and "b": two distinct values, one heap byte per row. At
+/// three rows: string offsets 0, 1, 2, 3 and codes 0, 1, 0.
+db::Database MakeSwatchDatabase(size_t rows = 3) {
+  db::Database database("paint");
+  db::Table table("swatches");
+  (void)table.AddColumn("colour", db::ValueType::kString);
+  for (size_t r = 0; r < rows; ++r) {
+    (void)table.AddRow({db::Value(r % 2 == 0 ? "a" : "b")});
+  }
+  (void)database.AddTable(std::move(table));
+  return database;
+}
+
+/// File offsets of the fields of the swatch column, found by walking the
+/// writer's layout of the database section.
+struct SwatchColumnLayout {
+  size_t type = 0;        ///< u8 column type
+  size_t null_count = 0;  ///< u64 header NULL count
+  size_t nulls = 0;       ///< u8[rows] NULL flags
+  size_t tags = 0;        ///< u8[rows] cell tags
+  size_t offsets = 0;     ///< u32[rows + 1] string offsets
+  size_t distinct = 0;    ///< first dictionary value (its tag byte)
+  size_t codes = 0;       ///< i32[rows] dictionary codes
+};
+
+SwatchColumnLayout LocateSwatchColumn(const std::string& bytes,
+                                      size_t rows = 3) {
+  constexpr size_t kDistinct = 2;
+  auto align8 = [](size_t at) { return (at + 7) / 8 * 8; };
+  auto skip_str = [&](size_t at) { return at + 4 + Peek<uint32_t>(bytes, at); };
+  size_t at = SectionOffset(bytes, snapshot::SectionKind::kDatabase);
+  at = skip_str(at) + 4;       // database name, table count
+  at = skip_str(at) + 4 + 16;  // table name, column count, rows, version
+  SwatchColumnLayout layout;
+  layout.type = skip_str(at);  // after the column name
+  layout.null_count = layout.type + 1 + 8;
+  layout.nulls = align8(layout.null_count + 8 + 1);  // after the flags byte
+  layout.tags = layout.nulls + rows;
+  layout.offsets = align8(layout.tags + rows);
+  const size_t heap = layout.offsets + 4 * (rows + 1);
+  // After the heap (its size is the last offset) and the u32 distinct count.
+  layout.distinct = align8(heap + Peek<uint32_t>(bytes, heap - 4)) + 4;
+  at = layout.distinct;
+  for (size_t i = 0; i < kDistinct; ++i) {
+    at = skip_str(at + 1);  // tag byte, then the string
+  }
+  layout.codes = align8(at);
+  return layout;
+}
+
+struct Patched {
+  const char* label;
+  std::string bytes;
+};
+
+/// A copy of `pristine` with `value` written at file offset `at`.
+template <typename T>
+Patched Patch(const char* label, const std::string& pristine, size_t at,
+              T value) {
+  Patched variant{label, pristine};
+  Poke(&variant.bytes, at, value);
+  return variant;
+}
+
+/// Writes each patched file over `path`, checksums rewritten, and expects
+/// loading it to fail with ParseError (a variant that loads reports OK).
+void ExpectEachRejected(const std::string& path,
+                        const std::vector<Patched>& variants) {
+  for (const Patched& variant : variants) {
+    std::string bytes = variant.bytes;
+    RewriteChecksums(&bytes);
+    WriteFile(path, bytes);
+    auto loaded = snapshot::LoadSnapshot(path);
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError)
+        << variant.label << ": " << loaded.status().ToString();
+  }
+}
+
+// Save -> load -> check: the loaded database and catalog reproduce the
+// saving checker's verdicts byte for byte.
 TEST(SnapshotTest, RoundTripReproducesCheckerState) {
   auto articles = corpus::EmbeddedArticles();
   ASSERT_FALSE(articles.empty());
@@ -62,25 +193,21 @@ TEST(SnapshotTest, RoundTripReproducesCheckerState) {
   const std::string path = std::string(kDir) + "/roundtrip.snap";
   snapshot::SnapshotStats stats;
   ASSERT_TRUE(snapshot::WriteSnapshot(path, fresh->database(),
-                                      &fresh->catalog(),
-                                      &fresh->engine().interner(), &stats)
+                                      &fresh->catalog(), &stats)
                   .ok());
   EXPECT_GT(stats.file_bytes, 0u);
   EXPECT_GT(stats.database_bytes, 0u);
   EXPECT_GT(stats.catalog_bytes, 0u);
-  EXPECT_GT(stats.interner_bytes, 0u);
 
   auto loaded = snapshot::LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->database.TotalRows(), article.database.TotalRows());
   ASSERT_NE(loaded->catalog, nullptr);
-  ASSERT_TRUE(loaded->has_interner());
 
   core::CheckOptions options;
   options.prebuilt_catalog = loaded->catalog;
   auto reloaded = core::AggChecker::Create(&loaded->database, options);
   ASSERT_TRUE(reloaded.ok());
-  ASSERT_TRUE(loaded->SeedInterner(&reloaded->engine().interner()).ok());
   auto reloaded_report = reloaded->Check(article.document);
   ASSERT_TRUE(reloaded_report.ok());
   EXPECT_EQ(core::FleetVerdictFingerprint(*reloaded_report),
@@ -230,7 +357,7 @@ TEST(SnapshotTest, DataVersionsRoundTripAndInvalidateAfterLoad) {
 
   ::mkdir(kDir, 0755);
   const std::string path = std::string(kDir) + "/versions.snap";
-  ASSERT_TRUE(snapshot::WriteSnapshot(path, database, nullptr, nullptr).ok());
+  ASSERT_TRUE(snapshot::WriteSnapshot(path, database, nullptr).ok());
 
   auto loaded = snapshot::LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -285,7 +412,7 @@ TEST(SnapshotTest, ColumnStatsRideTheSnapshot) {
 
   ::mkdir(kDir, 0755);
   const std::string path = std::string(kDir) + "/stats.snap";
-  ASSERT_TRUE(snapshot::WriteSnapshot(path, database, nullptr, nullptr).ok());
+  ASSERT_TRUE(snapshot::WriteSnapshot(path, database, nullptr).ok());
 
   auto loaded = snapshot::LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -313,6 +440,93 @@ TEST(SnapshotTest, ColumnStatsRideTheSnapshot) {
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kUnsupported)
       << rejected.status().ToString();
+  std::remove(path.c_str());
+}
+
+// Patched-byte cases: each variant edits one payload field of a pristine
+// one-column file so the arrays disagree, rewrites the checksums, and must
+// fail with ParseError. Unchecked, each loaded, and some sent a later cube
+// scan or materialization past an array's end.
+TEST(SnapshotTest, RejectsMalformedColumnPayload) {
+  ::mkdir(kDir, 0755);
+  const std::string path = std::string(kDir) + "/payload.snap";
+  ASSERT_TRUE(
+      snapshot::WriteSnapshot(path, MakeSwatchDatabase(), nullptr).ok());
+  const std::string pristine = ReadFile(path);
+  auto loaded = snapshot::LoadSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->database.table(0).column(0).values().size(), 3u);
+
+  const SwatchColumnLayout at = LocateSwatchColumn(pristine);
+  ASSERT_EQ(Peek<uint8_t>(pristine, at.type),
+            static_cast<uint8_t>(db::ValueType::kString));
+  ASSERT_EQ(Peek<uint32_t>(pristine, at.offsets + 4 * 3), 3u);
+  ASSERT_EQ(Peek<int32_t>(pristine, at.codes + 4), 1);
+
+  const auto kLong = static_cast<uint8_t>(db::ValueType::kLong);
+  ExpectEachRejected(
+      path,
+      {
+          Patch<int32_t>("code past the dictionary", pristine, at.codes + 4,
+                         5),
+          Patch<uint8_t>("unknown cell tag", pristine, at.tags + 2, 7),
+          Patch<uint8_t>("NULL flag on a value", pristine, at.nulls, 1),
+          Patch<uint64_t>("header NULL count", pristine, at.null_count, 2),
+          Patch<uint32_t>("decreasing string offsets", pristine,
+                          at.offsets + 4, 9),
+          Patch<uint32_t>("string offsets not from 0", pristine, at.offsets,
+                          1),
+          Patch("numeric column without doubles", pristine, at.type, kLong),
+      });
+
+  // At an even row count the offsets end off an 8-byte boundary, so a heap
+  // size past the section end fails the reader there, and skipping the
+  // padding that follows must not spin on the failed reader.
+  ASSERT_TRUE(
+      snapshot::WriteSnapshot(path, MakeSwatchDatabase(2), nullptr).ok());
+  const std::string two_rows = ReadFile(path);
+  const size_t heap_size = LocateSwatchColumn(two_rows, 2).offsets + 4 * 2;
+  ASSERT_EQ(Peek<uint32_t>(two_rows, heap_size), 2u);
+  ExpectEachRejected(path, {Patch<uint32_t>("heap past the section end",
+                                            two_rows, heap_size, 1000)});
+  std::remove(path.c_str());
+}
+
+// Unknown value tags and out-of-range enum bytes fail the load instead of
+// decoding as NULL or as an AggFn / fragment type that does not exist. The
+// bad value tag fails the reader mid-section, so it also shows that the
+// reader's Align8 does not spin once the reader has failed.
+TEST(SnapshotTest, RejectsUnknownTagsAndEnumBytes) {
+  const db::Database database = MakeSwatchDatabase();
+  auto catalog = fragments::FragmentCatalog::Build(database);
+  ASSERT_TRUE(catalog.ok());
+  ::mkdir(kDir, 0755);
+  const std::string path = std::string(kDir) + "/tags.snap";
+  ASSERT_TRUE(snapshot::WriteSnapshot(path, database, &*catalog).ok());
+  const std::string pristine = ReadFile(path);
+  auto loaded = snapshot::LoadSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_NE(loaded->catalog, nullptr);
+
+  const size_t value_tag = LocateSwatchColumn(pristine).distinct;
+  ASSERT_EQ(Peek<uint8_t>(pristine, value_tag),
+            static_cast<uint8_t>(db::ValueType::kString));
+  // Slot 0 holds the aggregation-function fragments, Count first: a u32
+  // count, then the first fragment's type and AggFn bytes.
+  const size_t fragment =
+      SectionOffset(pristine, snapshot::SectionKind::kCatalog) + 4;
+  ASSERT_EQ(Peek<uint8_t>(pristine, fragment), 0u);
+  ASSERT_EQ(Peek<uint8_t>(pristine, fragment + 1),
+            static_cast<uint8_t>(db::AggFn::kCount));
+
+  ExpectEachRejected(
+      path,
+      {
+          Patch<uint8_t>("dictionary value tag 9", pristine, value_tag, 9),
+          Patch<uint8_t>("fragment type outside its slot", pristine,
+                         fragment, 1),
+          Patch<uint8_t>("AggFn 200", pristine, fragment + 1, 200),
+      });
   std::remove(path.c_str());
 }
 
