@@ -1,6 +1,6 @@
 // Fleet-scale throughput: generate a synthetic fleet workload (thousands of
-// articles over shared scaled datasets), drain it through the cross-document
-// claim scheduler under one global resource budget, and record
+// articles over shared scaled datasets), drain it through RunFleet under
+// one global resource budget, and record
 // verified-claims-per-second plus p99 per-document latency at several
 // offered-load points into BENCH_fleet.json.
 //
@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
   // columns at cardinality up to 24 keeps per-article candidate spaces in
   // the thousands while a 1000-article fleet still drains in minutes.
   // FleetSpec defaults go much larger (50k rows, 24 dims); this bench
-  // measures scheduling, not raw scan throughput.
+  // measures the fleet drain, not raw scan throughput.
   corpus::FleetSpec spec;
   spec.seed = 42;
   spec.num_articles = smoke ? 50 : 1000;
@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
         r.verified, r.partial, r.failed, r.exhausted, r.tp, r.fp, r.fn);
   }
 
-  // Bit-identity at the largest load: the scheduled fleet run must produce
+  // Bit-identity at the largest load: the pooled fleet run must produce
   // per-document verdicts byte-identical to the one-at-a-time reference
   // under the same global budget.
   const size_t max_load = results.back().articles;

@@ -14,16 +14,12 @@ namespace aggchecker {
 namespace core {
 
 /// \brief One unit of fleet work: a document's claim batch over a (possibly
-/// shared) dataset. The scheduler never owns these — the caller keeps
-/// databases and documents alive and address-stable for the whole run.
+/// shared) dataset. A drain never owns these — the caller keeps databases
+/// and documents alive and address-stable for the whole run.
 struct FleetDocument {
   std::string name;
   const db::Database* database = nullptr;
   const text::TextDocument* document = nullptr;
-  /// Claims this document is expected to resolve — the benefit term of the
-  /// scheduling priority (ground-truth claim count when known, otherwise
-  /// any monotone estimate such as numeric-sentence count).
-  size_t num_claims_hint = 0;
 };
 
 /// \brief Fleet-run configuration.
@@ -38,11 +34,12 @@ struct FleetDocument {
 /// fleet-wide spend is bounded by the sum of slices, every document gets
 /// the same slice regardless of queue position (the fairness invariant),
 /// and per-document verdicts are bit-identical to a one-at-a-time run of
-/// the same slice, for any thread count and any schedule order.
+/// the same slice, for any thread count.
 ///
 /// `check.catalog` configures the one fragment catalog RunFleet builds per
-/// data set; `check.prebuilt_catalog` is ignored by RunFleet, because one
-/// catalog cannot serve several data sets.
+/// data set and the fresh one RunFleetSequential builds per document;
+/// `check.prebuilt_catalog` is ignored by both drains, because one catalog
+/// cannot serve several data sets.
 struct FleetOptions {
   CheckOptions check;
   /// Documents checked concurrently (each document runs serially inside —
@@ -60,13 +57,10 @@ struct FleetDocumentResult {
   /// quarantined the document at dispatch.
   Status status;
   CheckReport report;
-  double cost_estimate = 0;      ///< scheduler's estimate at pop time
-  size_t schedule_position = 0;  ///< 0-based pop order
-  double latency_seconds = 0;    ///< fleet start -> document completion
+  double latency_seconds = 0;  ///< fleet start -> document completion
 };
 
-/// \brief Aggregated fleet outcome. `documents` is in input order;
-/// scheduling order is recoverable from schedule_position.
+/// \brief Aggregated fleet outcome. `documents` is in input order.
 struct FleetRunResult {
   std::vector<FleetDocumentResult> documents;
   double total_seconds = 0;
@@ -76,7 +70,7 @@ struct FleetRunResult {
   size_t documents_failed = 0;     ///< non-OK status (quarantined alone)
   size_t documents_exhausted = 0;  ///< governor slice tripped
   /// Charge totals summed over per-document governors — the fleet-budget
-  /// ledger. Deterministic across thread counts and schedule orders.
+  /// ledger. Deterministic across thread counts.
   GovernorUsage usage;
   /// Verified-claims-per-second over the whole run.
   double throughput() const {
@@ -84,45 +78,33 @@ struct FleetRunResult {
                                    total_seconds
                              : 0.0;
   }
-  /// Worker breadth actually used, plus the clamp self-report (satellite:
-  /// a 1-core host must say so instead of recording phantom scaling data).
+  /// Worker breadth actually used (0 requested = hardware concurrency).
   size_t threads_used = 1;
-  size_t hardware_concurrency = 1;
-  bool threads_oversubscribed = false;  ///< threads_used > hardware
 };
 
 /// Fair per-document slice of the global budget: countable budgets divide
 /// by `num_documents` (never below 1 once limited), the deadline passes
 /// through per document. Deterministic — slices depend only on the global
-/// limits and the document count, never on schedule order.
+/// limits and the document count, never on when a document runs.
 GovernorLimits SliceGovernorBudget(const GovernorLimits& global,
                                    size_t num_documents);
 
-/// The scheduler's cost model for one document (DESIGN.md §14): modeled
-/// row-scan cost of evaluating the document's claims over its dataset,
-/// plus the join-materialization cost when the dataset's relation cache is
-/// still cold, plus a cube-group term from schema width and cardinality.
-double EstimateDocumentCost(const FleetDocument& doc, bool relation_warm);
-
-/// \brief Drains the fleet through a priority queue into a worker pool.
+/// \brief Drains the fleet through a worker pool.
 ///
 /// The drain starts by building one fragment catalog per distinct data set
 /// on the pool, inside the fleet timer (DESIGN.md §14, "One catalog per
-/// data set"). Work items are then popped highest benefit/cost first
-/// (lazily re-costed as dataset warmth changes; ties break on input index;
-/// RunFleetSequential is the input-order schedule). The pop sequence is
-/// serialized and greedy, so the schedule order is deterministic for a
-/// given input regardless of thread count or timing. Each popped document
-/// gets its own checker adopting its data set's catalog and runs a full
-/// Check under its own budget slice. An injected pop fault quarantines that
-/// document alone; a failed catalog build fails the documents of its data
-/// set alone; the queue keeps draining either way.
+/// data set"). Documents then start in input order, as in
+/// RunFleetSequential. Each document gets its own checker adopting its data
+/// set's catalog and runs a full Check under its own budget slice. An
+/// injected `fleet.schedule.pop` fault quarantines that document alone; a
+/// failed catalog build fails the documents of its data set alone; the
+/// drain goes on either way.
 FleetRunResult RunFleet(const std::vector<FleetDocument>& documents,
                         const FleetOptions& options);
 
 /// One-at-a-time reference: the same budget slices, input order, no pool,
-/// no scheduler, and a fresh Create (own catalog) per document. RunFleet
-/// must be bit-identical to this per document.
+/// and a fresh Create (own catalog) per document. RunFleet must be
+/// bit-identical to this per document.
 FleetRunResult RunFleetSequential(const std::vector<FleetDocument>& documents,
                                   const FleetOptions& options);
 

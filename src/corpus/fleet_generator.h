@@ -26,13 +26,13 @@ struct FleetSpec {
   uint64_t seed = 1;
 
   /// Articles in the workload. Articles are assigned to datasets
-  /// round-robin, so multiple documents share each dataset — the regime the
-  /// cross-document scheduler's relation-cache-warmth priority exploits.
+  /// round-robin, so multiple documents share each dataset, its fragment
+  /// catalog and its relation cache in a fleet drain.
   size_t num_articles = 1000;
   size_t num_datasets = 8;
 
   /// Target claims per article; realized counts jitter by up to ±2 (never
-  /// below 1) so documents differ in benefit for the scheduler.
+  /// below 1) so documents differ in size.
   size_t claims_per_article = 6;
 
   /// Schema width: categorical dimension columns plus numeric measure
@@ -49,9 +49,8 @@ struct FleetSpec {
   /// cardinality in [2, dim_cardinality].
   size_t dim_cardinality = 64;
 
-  /// Zipf exponent for dimension-value draws (0 = uniform). Row blocks over
-  /// skewed dimensions produce the uneven group sizes that make cube-group
-  /// estimates part of the scheduler's cost model.
+  /// Zipf exponent for dimension-value draws (0 = uniform). Skewed
+  /// dimensions give the uneven cube-group sizes real data has.
   double zipf_skew = 1.1;
 
   /// Per-claim probability of injecting an error (the paper's corpus runs
@@ -79,7 +78,7 @@ struct FleetArticle {
 /// \brief A generated fleet workload: shared datasets + articles over them.
 struct FleetCorpus {
   /// Datasets are shared across articles and must stay address-stable while
-  /// any scheduler run references them (unique_ptr, not value, for that).
+  /// any fleet run references them (unique_ptr, not value, for that).
   std::vector<std::unique_ptr<db::Database>> datasets;
   std::vector<FleetArticle> articles;
   /// Articles dropped by an injected `fleet.generator.emit` fault. The

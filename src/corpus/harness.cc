@@ -162,7 +162,6 @@ std::vector<core::FleetDocument> FleetDocuments(const FleetCorpus& corpus) {
     doc.name = article.name;
     doc.database = corpus.datasets[article.dataset].get();
     doc.document = &article.document;
-    doc.num_claims_hint = article.ground_truth.size();
     documents.push_back(std::move(doc));
   }
   return documents;

@@ -94,7 +94,7 @@ CorpusRunResult RunOnCorpus(const std::vector<CorpusCase>& corpus,
                             const SnapshotRunOptions& snapshot,
                             SnapshotRunStats* snapshot_stats = nullptr);
 
-/// \brief Fleet-mode outcome: the scheduler's run plus accuracy scored
+/// \brief Fleet-mode outcome: the RunFleet drain plus accuracy scored
 /// against the generator's by-construction ground truth.
 struct FleetHarnessResult {
   core::FleetRunResult run;
@@ -107,19 +107,17 @@ struct FleetHarnessResult {
   size_t documents_misaligned = 0;
 };
 
-/// Adapts a generated fleet to scheduler work items. The returned documents
-/// borrow the corpus' datasets and article documents; the corpus must
-/// outlive any run over them. `num_claims_hint` is the ground-truth claim
-/// count (the exact benefit term).
+/// Adapts a generated fleet to fleet work items, one per article in corpus
+/// order. The returned documents borrow the corpus' datasets and article
+/// documents; the corpus must outlive any run over them.
 std::vector<core::FleetDocument> FleetDocuments(const FleetCorpus& corpus);
 
-/// \brief Fleet mode: drains the whole corpus through the cross-document
-/// scheduler and scores verdicts against ground truth.
+/// \brief Fleet mode: drains the whole corpus through RunFleet and scores
+/// verdicts against ground truth.
 ///
 /// Unlike RunOnCorpus, relation caches are NOT cleared between documents —
-/// cache warmth carried across documents sharing a dataset is exactly what
-/// the scheduler's priority function exploits, and reports are bit-identical
-/// warm or cold (the PR4 invariant).
+/// documents sharing a dataset reuse its joins, and reports are
+/// bit-identical warm or cold (DESIGN.md §11).
 FleetHarnessResult RunOnFleet(const FleetCorpus& corpus,
                               const core::FleetOptions& options);
 

@@ -5,8 +5,8 @@
 namespace aggchecker {
 namespace db {
 
-/// \brief Per-column cell counts: the cube-group term of the fleet
-/// scheduler's document cost estimate (DESIGN.md §14) reads them.
+/// \brief Per-column cell counts. Nothing in the checker reads them; the
+/// end-to-end benchmark (bench/e2e) reads `distinct` (DESIGN.md §17).
 ///
 /// `Column::Stats()` derives them on every call from the column's row and
 /// NULL counters and its dictionary, so they follow every mutation by

@@ -106,7 +106,7 @@ bool IsDocumentedOutcome(const Status& status) {
          status.IsResourceExhausted();
 }
 
-/// A fleet small enough to generate and schedule in milliseconds; drives
+/// A fleet small enough to generate and drain in milliseconds; drives
 /// the `fleet.generator.emit` and `fleet.schedule.pop` points.
 corpus::FleetSpec TinyFleetSpec() {
   corpus::FleetSpec spec;
@@ -127,7 +127,7 @@ corpus::FleetSpec TinyFleetSpec() {
 /// pipeline, a multi-table join build, post-build row ingestion
 /// (data.ingest.append), an unchanged-data incremental re-check
 /// (eval.recheck.splice), a snapshot write/load round trip
-/// (snapshot.load.map), and a tiny fleet generate+schedule cycle
+/// (snapshot.load.map), and a tiny fleet generate+drain cycle
 /// (fleet.generator.emit / fleet.schedule.pop).
 void RunAllDrivers() {
   {
@@ -372,10 +372,11 @@ TEST(ChaosMatrixTest, UnsheddableFaultQuarantinesInsteadOfAborting) {
   EXPECT_EQ(clean.report.NumQuarantined(), 0u);
 }
 
-// A scheduler-pop fault quarantines exactly the popped document: the fault
-// is attributed to that document's result slot, every other document drains
-// normally with verdicts bit-identical to the fault-free run — the queue
-// never stalls on a poisoned item.
+// A dispatch fault quarantines exactly the faulted document: the fault is
+// attributed to that document's result slot, every other document drains
+// normally with verdicts bit-identical to the fault-free run — the drain
+// never stalls on a poisoned item. At one thread documents start in input
+// order, so hit k of the point falls on document k-1.
 TEST(ChaosMatrixTest, FleetPopFaultQuarantinesOneDocumentAlone) {
   fi::DisarmAll();
   corpus::FleetCorpus fleet = corpus::GenerateFleet(TinyFleetSpec());
@@ -388,14 +389,14 @@ TEST(ChaosMatrixTest, FleetPopFaultQuarantinesOneDocumentAlone) {
   ASSERT_EQ(reference.documents_failed, 0u);
 
   fi::FaultSpec spec;
-  spec.trigger_on_hit = 2;  // the second pop, wherever it lands
+  spec.trigger_on_hit = 2;  // the second document to start
   spec.every_hit = false;
   fi::Arm("fleet.schedule.pop", spec);
   core::FleetRunResult faulted = core::RunFleet(documents, options);
   const uint64_t hits = fi::HitCount("fleet.schedule.pop");
   fi::DisarmAll();
 
-  ASSERT_EQ(hits, documents.size());  // every pop passed the point
+  ASSERT_EQ(hits, documents.size());  // every document passed the point
   EXPECT_EQ(faulted.documents_failed, 1u);
   size_t failed = 0;
   for (size_t i = 0; i < faulted.documents.size(); ++i) {
@@ -403,8 +404,8 @@ TEST(ChaosMatrixTest, FleetPopFaultQuarantinesOneDocumentAlone) {
     const auto& ref = reference.documents[i];
     if (!doc.status.ok()) {
       ++failed;
-      EXPECT_EQ(doc.schedule_position, 1u)
-          << "the fault must land on the second-popped document";
+      EXPECT_EQ(doc.index, 1u)
+          << "the fault must land on the second document";
       EXPECT_EQ(doc.status.code(), StatusCode::kInternal);
       continue;
     }

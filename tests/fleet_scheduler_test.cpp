@@ -4,10 +4,13 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <set>
+#include <string>
 
 #include "corpus/fleet_generator.h"
 #include "corpus/harness.h"
+#include "fragments/catalog.h"
 #include "util/fault_injection.h"
 #include "util/thread_pool.h"
 
@@ -167,8 +170,9 @@ TEST(FleetSchedulerTest, BudgetTripsFairlyAcrossEqualDocuments) {
                 kDocs * ResourceGovernor::kCheckIntervalRows + kDocs * slice);
 }
 
-/// Governor charge totals are a pure function of the input — equal across
-/// schedule orders (input order vs priority order) and thread counts.
+/// Governor charge totals are a pure function of the input — equal between
+/// the one-at-a-time reference and the pool at any thread count, whatever
+/// order the workers finish documents in.
 TEST(FleetSchedulerTest, ChargeTotalsEqualAcrossScheduleOrders) {
   corpus::FleetCorpus fleet = corpus::GenerateFleet(SmallSpec());
   auto documents = corpus::FleetDocuments(fleet);
@@ -190,37 +194,97 @@ TEST(FleetSchedulerTest, ChargeTotalsEqualAcrossScheduleOrders) {
   EXPECT_EQ(b.usage.memory_bytes_charged, c.usage.memory_bytes_charged);
 }
 
-/// The greedy priority groups documents by dataset: once a dataset is warm,
-/// its remaining documents always outrank every cold document (the warm
-/// priority is 1/(scan+group unit cost), the cold one strictly less).
-TEST(FleetSchedulerTest, PrioritySchedulesSharedDatasetsTogether) {
+/// RunFleet starts documents in input order, as RunFleetSequential does.
+/// At one thread each document finishes before the next starts, so
+/// completion times rise with the input index. SmallSpec's articles
+/// alternate between its two data sets, so grouping documents by data set
+/// would break the order.
+TEST(FleetSchedulerTest, DispatchesInInputOrder) {
   corpus::FleetCorpus fleet = corpus::GenerateFleet(SmallSpec());
   auto documents = corpus::FleetDocuments(fleet);
+  ASSERT_EQ(fleet.datasets.size(), 2u);
+  ASSERT_NE(documents[0].database, documents[1].database);
 
   FleetRunResult run = RunFleet(documents, FleetOptions{});
-
-  // Walk the schedule order; the dataset may only change when the previous
-  // dataset has no documents left.
-  std::vector<size_t> by_position(documents.size());
-  for (const auto& doc : run.documents) {
-    by_position[doc.schedule_position] = doc.index;
-  }
-  std::set<const db::Database*> drained;
-  const db::Database* current = nullptr;
-  for (size_t pos = 0; pos < by_position.size(); ++pos) {
-    const db::Database* db = documents[by_position[pos]].database;
-    if (db != current) {
-      EXPECT_EQ(drained.count(db), 0u)
-          << "dataset revisited at schedule position " << pos;
-      if (current != nullptr) drained.insert(current);
-      current = db;
-    }
+  ASSERT_EQ(run.documents_failed, 0u);
+  for (size_t i = 1; i < run.documents.size(); ++i) {
+    EXPECT_LE(run.documents[i - 1].latency_seconds,
+              run.documents[i].latency_seconds)
+        << "document " << i << " finished before document " << i - 1;
   }
 }
 
-/// Satellite: the scheduler self-reports the host's concurrency so a
-/// thread-sweep on a clamped (1-core) container is legible in the results
-/// instead of silently recording phantom scaling.
+/// Both drains ignore a caller's `check.prebuilt_catalog`: each document
+/// checks against its own data set's catalog. Set to data set 0's catalog,
+/// the field must not reach the documents on data set 1.
+TEST(FleetSchedulerTest, IgnoresCallerPrebuiltCatalog) {
+  corpus::FleetCorpus fleet = corpus::GenerateFleet(SmallSpec());
+  auto documents = corpus::FleetDocuments(fleet);
+  ASSERT_EQ(fleet.datasets.size(), 2u);
+  const auto reference_fps =
+      Fingerprints(RunFleetSequential(documents, FleetOptions{}));
+
+  FleetOptions options;
+  auto catalog = fragments::FragmentCatalog::Build(*fleet.datasets[0],
+                                                   options.check.catalog);
+  ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+  options.check.prebuilt_catalog =
+      std::make_shared<const fragments::FragmentCatalog>(std::move(*catalog));
+
+  FleetRunResult sequential = RunFleetSequential(documents, options);
+  ASSERT_EQ(sequential.documents_failed, 0u);
+  EXPECT_EQ(Fingerprints(sequential), reference_fps) << "sequential";
+  for (size_t threads : {1u, 2u}) {
+    options.num_threads = threads;
+    FleetRunResult run = RunFleet(documents, options);
+    ASSERT_EQ(run.documents_failed, 0u) << threads << " threads";
+    EXPECT_EQ(Fingerprints(run), reference_fps) << threads << " threads";
+  }
+}
+
+/// A document without a usable database fails alone: Create rejects a null
+/// or table-less database with kInvalidArgument, in both drains, and every
+/// other document gives the verdicts of a run without the bad ones.
+TEST(FleetSchedulerTest, FailsDocumentWithoutDatabaseAlone) {
+  corpus::FleetCorpus fleet = corpus::GenerateFleet(SmallSpec());
+  const auto good = corpus::FleetDocuments(fleet);
+  const auto good_fps = Fingerprints(RunFleetSequential(good, FleetOptions{}));
+
+  const db::Database empty;
+  std::vector<FleetDocument> documents = good;
+  FleetDocument no_database = good[0];
+  no_database.database = nullptr;
+  FleetDocument no_tables = good[1];
+  no_tables.database = &empty;
+  documents.insert(documents.begin() + 5, no_tables);
+  documents.insert(documents.begin() + 2, no_database);
+  const std::set<size_t> bad = {2, 6};
+
+  auto check = [&](const FleetRunResult& run, const std::string& label) {
+    EXPECT_EQ(run.documents_failed, bad.size()) << label;
+    size_t next_good = 0;
+    for (size_t i = 0; i < run.documents.size(); ++i) {
+      const FleetDocumentResult& doc = run.documents[i];
+      if (bad.count(i) > 0) {
+        EXPECT_EQ(doc.status.code(), StatusCode::kInvalidArgument)
+            << label << " document " << i;
+        continue;
+      }
+      ASSERT_TRUE(doc.status.ok()) << label << " document " << i;
+      EXPECT_EQ(FleetVerdictFingerprint(doc.report), good_fps[next_good++])
+          << label << " document " << i;
+    }
+  };
+  check(RunFleetSequential(documents, FleetOptions{}), "sequential");
+  for (size_t threads : {1u, 2u}) {
+    FleetOptions options;
+    options.num_threads = threads;
+    check(RunFleet(documents, options), std::to_string(threads) + " threads");
+  }
+}
+
+/// The run reports the worker breadth it used: the requested thread count,
+/// or the host's concurrency when 0 is requested.
 TEST(FleetSchedulerTest, SelfReportsHardwareClamp) {
   corpus::FleetSpec spec = SmallSpec();
   spec.num_articles = 2;
@@ -231,15 +295,11 @@ TEST(FleetSchedulerTest, SelfReportsHardwareClamp) {
   options.num_threads = 8;
   FleetRunResult run = RunFleet(documents, options);
   EXPECT_EQ(run.threads_used, 8u);
-  EXPECT_EQ(run.hardware_concurrency, ThreadPool::HardwareConcurrency());
-  EXPECT_EQ(run.threads_oversubscribed,
-            run.threads_used > run.hardware_concurrency);
 
   FleetOptions defaulted;
-  defaulted.num_threads = 0;  // 0 = hardware concurrency: never oversubscribed
+  defaulted.num_threads = 0;  // 0 = hardware concurrency
   FleetRunResult hw = RunFleet(documents, defaulted);
   EXPECT_EQ(hw.threads_used, ThreadPool::HardwareConcurrency());
-  EXPECT_FALSE(hw.threads_oversubscribed);
 }
 
 /// Fleet-mode harness: detection scored against ground truth by position.
