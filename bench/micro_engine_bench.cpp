@@ -257,12 +257,13 @@ BENCHMARK(BM_CubeExecution);
 // --- Cube-kernel micro benches: scalar oracle vs vectorized pipeline ----
 //
 // A synthetic star-schema fact table large enough that per-row dispatch
-// cost dominates: four low-cardinality dimension columns (with NULLs) and
-// two measure columns (long + double, with NULLs). Swept over dimension
-// count d=1..4 and each base aggregate function; the Scalar/Vectorized
-// twins share workloads so their ratio is the speedup of the typed-kernel
-// pipeline over the row-at-a-time Aggregator path (both at num_threads=1;
-// results are bit-identical, asserted by cube_vectorized_diff_test).
+// cost dominates: four low-cardinality dimension columns (with NULLs), two
+// measure columns (long + double, with NULLs) and a near-unique key. Swept
+// over dimension count d=1..4 and each base aggregate function; the
+// Scalar/Vectorized twins share workloads so their ratio is the speedup of
+// the typed-kernel pipeline over the row-at-a-time Aggregator path (both
+// at num_threads=1; results are bit-identical, asserted by
+// cube_vectorized_diff_test).
 constexpr size_t kKernelRows = 40000;
 
 const db::Database& CubeKernelDatabase() {
@@ -275,6 +276,7 @@ const db::Database& CubeKernelDatabase() {
     }
     (void)fact.AddColumn("m_long", db::ValueType::kLong);
     (void)fact.AddColumn("m_double", db::ValueType::kDouble);
+    (void)fact.AddColumn("key", db::ValueType::kLong);
     for (size_t r = 0; r < kKernelRows; ++r) {
       std::vector<db::Value> row;
       for (int d = 0; d < 4; ++d) {
@@ -296,6 +298,8 @@ const db::Database& CubeKernelDatabase() {
       } else {
         row.emplace_back(0.5 * static_cast<double>(r % 1001) - 250.0);
       }
+      // Near-unique: every 50th row repeats its predecessor's key.
+      row.emplace_back(static_cast<int64_t>(r % 50 == 49 ? r - 1 : r));
       (void)fact.AddRow(std::move(row));
     }
     (void)db->AddTable(std::move(fact));
@@ -322,7 +326,9 @@ CubeKernelWorkload MakeKernelWorkload(int64_t fn_index, int64_t num_dims) {
   }
   // fn_index: 0=Count(*), 1=CountDistinct, 2=Sum, 3=Avg, 4=Min, 5=Max;
   // 6 = the multi-aggregate workload (all five functions at once) that the
-  // perf-smoke gate and BENCH_micro_engine.json headline track.
+  // perf-smoke gate and BENCH_micro_engine.json headline track; 7 =
+  // CountDistinct over the near-unique key, Table 6's shape (about one
+  // distinct value per row, where fn 1 has 257 over the whole table).
   auto agg = [](db::AggFn fn, const char* column) {
     db::CubeAggregate a;
     a.fn = fn;
@@ -347,6 +353,9 @@ CubeKernelWorkload MakeKernelWorkload(int64_t fn_index, int64_t num_dims) {
       break;
     case 5:
       workload.aggs = {agg(db::AggFn::kMax, "m_double")};
+      break;
+    case 7:
+      workload.aggs = {agg(db::AggFn::kCountDistinct, "key")};
       break;
     default:
       workload.aggs = {agg(db::AggFn::kCount, nullptr),
@@ -382,13 +391,15 @@ void BM_CubeKernelVectorized(benchmark::State& state) {
   RunCubeKernelBench(state, db::CubeExecMode::kVectorized);
 }
 
-// Per-function sweep at d=2, plus the dimension sweep d=1..4 on the
-// multi-aggregate workload (fn index 6). ArgNames render in the JSON as
-// fn:<index>/d:<dims>.
+// Per-function sweep at d=2, plus the dimension sweeps d=1..4 on the
+// multi-aggregate workload (fn index 6) and the near-unique COUNT DISTINCT
+// (fn index 7). ArgNames render in the JSON as fn:<index>/d:<dims>.
 void RegisterCubeKernelArgs(benchmark::internal::Benchmark* bench) {
   bench->ArgNames({"fn", "d"});
   for (int64_t fn = 0; fn <= 5; ++fn) bench->Args({fn, 2});
-  for (int64_t d = 1; d <= 4; ++d) bench->Args({6, d});
+  for (int64_t fn : {6, 7}) {
+    for (int64_t d = 1; d <= 4; ++d) bench->Args({fn, d});
+  }
   bench->Unit(benchmark::kMicrosecond);
 }
 BENCHMARK(BM_CubeKernelScalar)->Apply(RegisterCubeKernelArgs);

@@ -3,7 +3,9 @@
 //  1. Cube backend: the vectorized pipeline must beat the scalar oracle on
 //     the headline workload — a d=2 multi-aggregate cube at num_threads=1 —
 //     and must agree with it bit-for-bit. Catches a silent de-vectorization
-//     before the full micro-bench refresh runs.
+//     before the full micro-bench refresh runs. A second d=2 cube, COUNT
+//     DISTINCT over a near-unique key (Table 6's shape), must also agree
+//     bit-for-bit; its times are printed, not gated.
 //  2. Engine: merged+cached evaluation over a PK-FK join workload must be
 //     >= 5x the naive cache-off path (the shared RelationCache plus query
 //     merging must actually pay), with bit-identical results; and with >= 2
@@ -45,6 +47,7 @@ db::Database MakeDatabase() {
   (void)fact.AddColumn("d1", db::ValueType::kString);
   (void)fact.AddColumn("m_long", db::ValueType::kLong);
   (void)fact.AddColumn("m_double", db::ValueType::kDouble);
+  (void)fact.AddColumn("key", db::ValueType::kLong);
   for (size_t r = 0; r < kRows; ++r) {
     std::vector<db::Value> row;
     for (int d = 0; d < 2; ++d) {
@@ -65,6 +68,8 @@ db::Database MakeDatabase() {
     } else {
       row.emplace_back(0.5 * static_cast<double>(r % 1001) - 250.0);
     }
+    // Near-unique: every 50th row repeats its predecessor's key.
+    row.emplace_back(static_cast<int64_t>(r % 50 == 49 ? r - 1 : r));
     (void)fact.AddRow(std::move(row));
   }
   (void)database.AddTable(std::move(fact));
@@ -457,6 +462,24 @@ int RunSmoke() {
                  "perf_smoke: FAIL — vectorized cube execution is not "
                  "faster than the scalar oracle (%.2fx)\n",
                  speedup);
+    return 1;
+  }
+  // The same dimensions, COUNT DISTINCT over the near-unique key.
+  Workload distinct = workload;
+  distinct.aggs.assign(1, db::CubeAggregate{});
+  distinct.aggs[0].fn = db::AggFn::kCountDistinct;
+  distinct.aggs[0].column = {"fact", "key"};
+  scalar = TimeMode(database, distinct, db::CubeExecMode::kScalarOracle,
+                    &scalar_cube);
+  vectorized = TimeMode(database, distinct, db::CubeExecMode::kVectorized,
+                        &vectorized_cube);
+  std::printf("perf_smoke: near-unique COUNT DISTINCT scalar=%.3fms "
+              "vectorized=%.3fms (d=2, %zu rows, 1 thread, not gated)\n",
+              scalar * 1e3, vectorized * 1e3, kRows);
+  if (!CubesIdentical(*scalar_cube, *vectorized_cube)) {
+    std::fprintf(stderr,
+                 "perf_smoke: FAIL — backends disagree on near-unique "
+                 "COUNT DISTINCT cells\n");
     return 1;
   }
   int engine_gate = RunEngineGate();

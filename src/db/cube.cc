@@ -4,7 +4,6 @@
 #include <array>
 #include <cmath>
 #include <set>
-#include <unordered_set>
 
 #include "db/joined_relation.h"
 #include "db/relation_cache.h"
@@ -68,9 +67,12 @@ namespace {
 // Canonical constants shared by both execution modes (not allocator truth),
 // so memory totals stay mode- and thread-invariant: one combo charges its
 // key + fanout bookkeeping, one group charges key/cell bookkeeping plus one
-// accumulator per aggregate. Transient per-mode scratch (the vectorized
-// row->combo array, per-block hash maps) is not charged — it is bounded by
-// the row-scan budget, not the group/combo structure.
+// accumulator per aggregate. Transient per-mode scratch is not charged:
+// the vectorized row->combo array and per-block hash maps, and the COUNT
+// DISTINCT kernel's rows bucketed by combo, inverted group -> combo
+// fanout, per-combo code lists and per-code stamp array. It is bounded by
+// the row count, the fanout and the column dictionary, not by the
+// group/combo structure the budget models.
 constexpr uint64_t kModeledComboBytes = 64;
 constexpr uint64_t kModeledGroupBaseBytes = 32;
 constexpr uint64_t kModeledAggStateBytes = 64;
@@ -491,6 +493,42 @@ Status CubeExecution::FinishVectorized() {
     return combo_rows;
   };
 
+  // Rows bucketed by combo (a counting sort, row order within a combo) and
+  // the fanout inverted into group -> combo lists. Built on the first
+  // column COUNT DISTINCT and shared by the cube's later ones.
+  struct DistinctIndex {
+    std::vector<uint32_t> combo_begin, combo_rows;
+    std::vector<uint32_t> group_begin, group_combos;
+  };
+  DistinctIndex distinct;
+  auto distinct_index = [&]() -> const DistinctIndex& {
+    if (!distinct.combo_begin.empty()) return distinct;
+    const std::vector<int64_t>& n = rows_per_combo();
+    distinct.combo_begin.assign(num_combos + 1, 0);
+    for (size_t c = 0; c < num_combos; ++c) {
+      distinct.combo_begin[c + 1] =
+          distinct.combo_begin[c] + static_cast<uint32_t>(n[c]);
+    }
+    std::vector<uint32_t> next(distinct.combo_begin.begin(),
+                               distinct.combo_begin.end() - 1);
+    distinct.combo_rows.resize(num_rows);
+    for (size_t r = 0; r < num_rows; ++r) {
+      distinct.combo_rows[next[row_combo_[r]]++] = static_cast<uint32_t>(r);
+    }
+    distinct.group_begin.assign(num_groups + 1, 0);
+    for (uint32_t g : fanout) ++distinct.group_begin[g + 1];
+    for (size_t g = 0; g < num_groups; ++g) {
+      distinct.group_begin[g + 1] += distinct.group_begin[g];
+    }
+    next.assign(distinct.group_begin.begin(), distinct.group_begin.end() - 1);
+    distinct.group_combos.resize(fanout.size());
+    for (size_t i = 0; i < fanout.size(); ++i) {
+      distinct.group_combos[next[fanout[i]]++] =
+          static_cast<uint32_t>(i / num_subsets);
+    }
+    return distinct;
+  };
+
   struct Extreme {
     double best = 0.0;
     uint64_t best_row = 0;  ///< first row attaining `best` (tie-break)
@@ -537,26 +575,42 @@ Status CubeExecution::FinishVectorized() {
         // Dictionary codes are distinct-value identities: the dictionary
         // dedupes by `Value` equality (numeric coercion included) and gives
         // each NaN occurrence its own code — exactly the membership rule of
-        // the oracle's unordered_set<Value>.
+        // the oracle's unordered_set<Value>. Codes lie in [0, distinct) (the
+        // snapshot reader rejects files where they do not), so one stamp
+        // per code dedupes without hashing: first each combo's codes, then
+        // each group's union of its combos' codes.
+        const DistinctIndex& index = distinct_index();
         const std::vector<int32_t>& codes = col->Codes();
-        std::vector<std::unordered_set<int32_t>> combo_set(num_combos);
-        for (size_t r = 0; r < num_rows; ++r) {
-          size_t base = idx != nullptr ? idx[r] : r;
-          int32_t code = codes[base];
-          if (code >= 0) combo_set[row_combo_[r]].insert(code);
-        }
-        std::vector<std::unordered_set<int32_t>> group_set(num_groups);
+        std::vector<uint32_t> stamp(col->DistinctValues().size(), 0);
+        uint32_t epoch = 0;
+        std::vector<uint32_t> combo_code_begin(num_combos + 1, 0);
+        std::vector<int32_t> combo_codes;
         for (size_t c = 0; c < num_combos; ++c) {
-          if (combo_set[c].empty()) continue;
-          const uint32_t* fan = &fanout[c * num_subsets];
-          for (size_t s = 0; s < num_subsets; ++s) {
-            group_set[fan[s]].insert(combo_set[c].begin(),
-                                     combo_set[c].end());
+          ++epoch;
+          for (uint32_t i = index.combo_begin[c];
+               i < index.combo_begin[c + 1]; ++i) {
+            const uint32_t r = index.combo_rows[i];
+            const int32_t code = codes[idx != nullptr ? idx[r] : r];
+            if (code < 0 || stamp[code] == epoch) continue;
+            stamp[code] = epoch;
+            combo_codes.push_back(code);
           }
+          combo_code_begin[c + 1] = static_cast<uint32_t>(combo_codes.size());
         }
         for (size_t g = 0; g < num_groups; ++g) {
-          result.SetPacked(group_keys[g], a,
-                           static_cast<double>(group_set[g].size()));
+          ++epoch;
+          int64_t n = 0;
+          for (uint32_t i = index.group_begin[g];
+               i < index.group_begin[g + 1]; ++i) {
+            const uint32_t c = index.group_combos[i];
+            for (uint32_t j = combo_code_begin[c];
+                 j < combo_code_begin[c + 1]; ++j) {
+              const int32_t code = combo_codes[j];
+              n += stamp[code] != epoch;
+              stamp[code] = epoch;
+            }
+          }
+          result.SetPacked(group_keys[g], a, static_cast<double>(n));
         }
         break;
       }

@@ -278,6 +278,144 @@ TEST(CubeVectorizedDiffTest, RandomizedCubesMatchScalarOracleBitExact) {
   }
 }
 
+// COUNT DISTINCT shapes the randomized trials never draw, in one d = 4
+// cube (16-way fanout) over a fact ⋈ dim relation of three row blocks: a
+// string column, a join-side column read through the join's row index, a
+// near-unique key, a double column that is mostly NaN (each NaN its own
+// dictionary code) with ±0.0 and long-typed cells mixed in, and an all-NULL
+// column, which must count 0 in every materialized group.
+TEST(CubeVectorizedDiffTest, CountDistinctShapesMatchOracle) {
+  constexpr size_t kRows = 2 * ResourceGovernor::kCheckIntervalRows + 512;
+  constexpr int64_t kDimRows = 12;
+  Rng rng(4242);
+  size_t unique_keys = 0;
+  Database database("distinct");
+  Table fact("fact");
+  ASSERT_TRUE(fact.AddColumn("d_str", ValueType::kString).ok());
+  ASSERT_TRUE(fact.AddColumn("d_long", ValueType::kLong).ok());
+  ASSERT_TRUE(fact.AddColumn("key", ValueType::kLong).ok());
+  ASSERT_TRUE(fact.AddColumn("name", ValueType::kString).ok());
+  ASSERT_TRUE(fact.AddColumn("mostly_nan", ValueType::kDouble).ok());
+  ASSERT_TRUE(fact.AddColumn("all_null", ValueType::kLong).ok());
+  ASSERT_TRUE(fact.AddColumn("fk", ValueType::kLong).ok());
+  for (size_t r = 0; r < kRows; ++r) {
+    std::vector<Value> row;
+    if (rng.NextBool(0.1)) {
+      row.emplace_back();
+    } else {
+      row.emplace_back(std::string("s") + std::to_string(rng.NextBounded(3)));
+    }
+    row.emplace_back(static_cast<int64_t>(rng.NextBounded(4)));
+    // Near-unique: every 50th row repeats its predecessor's key.
+    const bool repeat = r % 50 == 49;
+    unique_keys += repeat ? 0 : 1;
+    row.emplace_back(static_cast<int64_t>(repeat ? r - 1 : r));
+    row.emplace_back(std::string("n") + std::to_string(rng.NextBounded(300)));
+    const double roll = rng.NextDouble();
+    if (roll < 0.55) {
+      row.emplace_back(std::numeric_limits<double>::quiet_NaN());
+    } else if (roll < 0.65) {
+      row.emplace_back(0.0);
+    } else if (roll < 0.75) {
+      row.emplace_back(-0.0);
+    } else if (roll < 0.85) {
+      row.emplace_back(static_cast<int64_t>(rng.NextBounded(6)));
+    } else if (roll < 0.9) {
+      row.emplace_back();
+    } else {
+      row.emplace_back(static_cast<double>(rng.NextBounded(6)));
+    }
+    row.emplace_back();
+    row.emplace_back(static_cast<int64_t>(
+        rng.NextBounded(static_cast<uint64_t>(kDimRows))));
+    ASSERT_TRUE(fact.AddRow(std::move(row)).ok());
+  }
+  ASSERT_TRUE(database.AddTable(std::move(fact)).ok());
+  Table dim("dim");
+  ASSERT_TRUE(dim.AddColumn("id", ValueType::kLong).ok());
+  ASSERT_TRUE(dim.AddColumn("region", ValueType::kString).ok());
+  ASSERT_TRUE(dim.AddColumn("tier", ValueType::kLong).ok());
+  ASSERT_TRUE(dim.AddColumn("city", ValueType::kString).ok());
+  const char* regions[] = {"north", "south", "east", "west"};
+  for (int64_t i = 0; i < kDimRows; ++i) {
+    ASSERT_TRUE(dim.AddRow({Value(i), Value(std::string(regions[i % 4])),
+                            Value(i % 3),
+                            Value(std::string("c") + std::to_string(i / 2))})
+                    .ok());
+  }
+  ASSERT_TRUE(database.AddTable(std::move(dim)).ok());
+  ASSERT_TRUE(database.AddForeignKey({"fact", "fk"}, {"dim", "id"}).ok());
+
+  // Each dimension leaves some values to the default bucket.
+  CubeSpec spec;
+  spec.dims = {{"fact", "d_str"}, {"fact", "d_long"}, {"dim", "region"},
+               {"dim", "tier"}};
+  spec.literals = {
+      {Value(std::string("s0")), Value(std::string("s1"))},
+      {Value(static_cast<int64_t>(0)), Value(static_cast<int64_t>(1)),
+       Value(static_cast<int64_t>(2))},
+      {Value(std::string("north")), Value(std::string("east")),
+       Value(std::string("zzz-absent"))},
+      {Value(static_cast<int64_t>(0)), Value(static_cast<int64_t>(1))}};
+  auto distinct = [](const char* table, const char* column) {
+    CubeAggregate a;
+    a.fn = AggFn::kCountDistinct;
+    a.column = {table, column};
+    return a;
+  };
+  spec.aggs = {CubeAggregate{},  // Count(*): marks materialized groups
+               distinct("fact", "name"),       distinct("dim", "city"),
+               distinct("fact", "key"),        distinct("fact", "mostly_nan"),
+               distinct("fact", "all_null")};
+  constexpr size_t kAllNull = 5;
+
+  ThreadPool pool2(2);
+  ThreadPool pool8(8);
+  ExecOutcome oracle =
+      RunCube(database, spec, CubeExecMode::kScalarOracle, nullptr);
+  ExecOutcome serial =
+      RunCube(database, spec, CubeExecMode::kVectorized, nullptr);
+  ExecOutcome threaded2 =
+      RunCube(database, spec, CubeExecMode::kVectorized, &pool2);
+  ExecOutcome threaded8 =
+      RunCube(database, spec, CubeExecMode::kVectorized, &pool8);
+  ASSERT_TRUE(oracle.cube && serial.cube && threaded2.cube && threaded8.cube);
+  ASSERT_GT(oracle.cube->charges.rows,
+            2 * ResourceGovernor::kCheckIntervalRows);
+
+  ExpectCubesBitIdentical(*oracle.cube, *serial.cube, "serial");
+  ExpectCubesBitIdentical(*oracle.cube, *threaded2.cube, "2 threads");
+  ExpectCubesBitIdentical(*oracle.cube, *threaded8.cube, "8 threads");
+  for (const ExecOutcome* other : {&serial, &threaded2, &threaded8}) {
+    EXPECT_EQ(oracle.usage.rows_charged, other->usage.rows_charged);
+    EXPECT_EQ(oracle.usage.cube_groups_charged,
+              other->usage.cube_groups_charged);
+    EXPECT_EQ(oracle.usage.memory_bytes_charged,
+              other->usage.memory_bytes_charged);
+  }
+
+  // Every materialized group holds a 0 for the all-NULL column, and the
+  // whole-relation group sees every distinct non-NULL value.
+  size_t materialized = 0;
+  for (int16_t a : {kAllBucket, kDefaultBucket, int16_t{0}}) {
+    for (int16_t b : {kAllBucket, kDefaultBucket, int16_t{0}, int16_t{2}}) {
+      for (int16_t c : {kAllBucket, kDefaultBucket, int16_t{0}, int16_t{2}}) {
+        for (int16_t t : {kAllBucket, kDefaultBucket, int16_t{1}}) {
+          if (!serial.cube->Lookup({a, b, c, t}, 0).has_value()) continue;
+          ++materialized;
+          EXPECT_EQ(serial.cube->Lookup({a, b, c, t}, kAllNull),
+                    std::optional<double>(0.0));
+        }
+      }
+    }
+  }
+  EXPECT_GT(materialized, 100u);
+  const std::vector<int16_t> all(4, kAllBucket);
+  EXPECT_EQ(serial.cube->Lookup(all, 2), std::optional<double>(6.0));
+  EXPECT_EQ(serial.cube->Lookup(all, 3),
+            std::optional<double>(static_cast<double>(unique_keys)));
+}
+
 // An all-rows-identical column collapses to one combo; an all-NULL measure
 // must leave Sum/Avg/Min/Max cells missing in both backends.
 TEST(CubeVectorizedDiffTest, DegenerateColumnsMatch) {
