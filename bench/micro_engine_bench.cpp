@@ -166,17 +166,15 @@ void BM_CachedRepeatBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_CachedRepeatBatch);
 
-// --- Plan-phase micro benches: string keys vs interned fingerprints ----
+// --- Plan-phase micro bench: interned fingerprints ----------------------
 //
 // Steady-state EM iterations re-plan near-identical candidate batches
-// every round; these twins isolate that plan phase. The result cache is
+// every round; this bench isolates that plan phase. The result cache is
 // warmed once so the execute phase collapses to cache hits, leaving the
-// per-query planning work. The String twin re-derives per-query grouping
-// keys (relation + dim-set strings) each round via EvaluateBatch; the
-// Fingerprint twin ships pre-encoded interner ids — as the translator
-// does after its first iteration — and hits the (relation, dim-set) plan
-// cache, so per-query work shrinks to integer lookups. Their ratio is
-// the plan-phase speedup of PR 5, swept over batch size.
+// per-query planning work. The batch ships pre-encoded interner ids — as
+// the translator does after its first iteration — and hits the
+// (relation, dim-set) plan cache, so per-query work shrinks to integer
+// lookups. Swept over batch size.
 const db::Database& PlanBenchDatabase() {
   static const db::Database* kDb = [] {
     auto* db = new db::Database("plan-bench");

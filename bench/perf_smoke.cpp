@@ -417,14 +417,13 @@ int RunPlanReuseGate() {
   // Plan reuse is an optimization, never a behavior change: the scalar
   // cube oracle (the reference the recovery ladder falls back to) must
   // produce the same verdicts.
-  core::CheckOptions reference = options;
-  reference.cube_exec = db::CubeExecMode::kScalarOracle;
-  auto ref_checker = core::AggChecker::Create(&database, reference);
+  auto ref_checker = core::AggChecker::Create(&database, options);
   if (!ref_checker.ok()) {
     std::fprintf(stderr, "perf_smoke: FAIL — reference checker creation "
                          "failed\n");
     return 1;
   }
+  ref_checker->engine().SetCubeExecMode(db::CubeExecMode::kScalarOracle);
   auto ref_report = ref_checker->Check(test_case.document);
   if (!ref_report.ok() ||
       !VerdictsBitIdentical(*first, *ref_report)) {

@@ -61,8 +61,10 @@ Result<AggChecker> AggChecker::Create(const db::Database* db,
   }
   checker.engine_ =
       std::make_shared<db::EvalEngine>(db, checker.options_.strategy);
-  checker.engine_->SetCubeExecMode(checker.options_.cube_exec);
-  checker.engine_->SetRecovery(checker.options_.recovery);
+  // Self-healing (DESIGN.md §13): transient faults re-run, persistent
+  // faults in optimized paths re-run on the reference rung, and claims
+  // failing there too become quarantined partial verdicts.
+  checker.engine_->SetRecovery(true);
   // num_threads == 1 keeps the engine pool-free (the exact serial path);
   // 0 sizes the pool to the hardware. Results are identical either way.
   if (checker.options_.model.num_threads != 1) {
@@ -122,18 +124,18 @@ Result<CheckReport> AggChecker::CheckDetected(
   // EM translation with candidate evaluations (Algorithms 3 and 4).
   // Per-query faults are healed or quarantined by the engine's recovery
   // pass; what surfaces here are run-level faults with no owning query,
-  // retried while transient. Engine caches persist across attempts (failed
-  // scans are never cached, so re-runs are safe).
+  // retried at once while transient. Engine caches persist across attempts
+  // (failed scans are never cached, so re-runs are safe).
   model::Translator translator(db_, catalog_.get(), options_.model);
   auto translate = [&] {
     return translator.Translate(detected, relevance, engine_.get(), pinned);
   };
   const uint32_t max_attempts =
-      options_.recovery.enabled ? options_.recovery.retry.max_attempts : 1;
+      engine_->recovery_enabled() ? db::EvalEngine::kMaxAttempts : 1;
   model::TranslationResult translation = translate();
   while (translation.status.IsTransient() &&
          report.run_attempts < max_attempts) {
-    SleepForBackoff(options_.recovery.retry, report.run_attempts++);
+    ++report.run_attempts;
     translation = translate();
   }
   if (!translation.status.ok()) return translation.status;

@@ -15,7 +15,6 @@
 #include "model/translator.h"
 #include "text/document.h"
 #include "util/resource_governor.h"
-#include "util/retry.h"
 #include "util/status.h"
 
 namespace aggchecker {
@@ -27,10 +26,6 @@ struct CheckOptions {
   claims::KeywordContextOptions context;
   model::ModelOptions model;
   db::EvalStrategy strategy = db::EvalStrategy::kMergedCached;
-  /// Cube materialization backend. The vectorized default and the scalar
-  /// oracle produce bit-identical reports; the oracle exists for
-  /// differential testing and as the perf-smoke baseline.
-  db::CubeExecMode cube_exec = db::CubeExecMode::kVectorized;
   fragments::CatalogOptions catalog;
   /// Pre-built fragment catalog: when set, Create adopts it instead of
   /// building one from the database, skipping fragment generation and
@@ -51,13 +46,6 @@ struct CheckOptions {
   /// `partial` instead of erroneous (see DESIGN.md "Failure-handling
   /// contract").
   GovernorLimits governor;
-  /// Self-healing layer (DESIGN.md §13), ON by default: transient faults
-  /// retry with capped backoff, persistent faults in optimized paths
-  /// re-run on the bit-identical reference configuration, and claims
-  /// failing there too are quarantined as partial verdicts
-  /// instead of aborting the run. Set `recovery.enabled = false` to get the
-  /// fail-fast behavior differential tests rely on.
-  RecoveryOptions recovery;
 };
 
 /// \brief The verdict for one claim: its ranked query candidates and the

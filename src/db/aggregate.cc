@@ -107,7 +107,11 @@ void Aggregator::Add(const Value& v) {
     case AggFn::kCount:
       break;
     case AggFn::kCountDistinct:
-      distinct_.insert(v);
+      if (v.type() == ValueType::kDouble && std::isnan(v.AsDoubleExact())) {
+        ++distinct_nans_;
+      } else {
+        distinct_.insert(v);
+      }
       break;
     case AggFn::kSum:
     case AggFn::kAvg: {
@@ -138,7 +142,7 @@ std::optional<double> Aggregator::Finish() const {
     case AggFn::kCount:
       return static_cast<double>(count_);
     case AggFn::kCountDistinct:
-      return static_cast<double>(distinct_.size());
+      return static_cast<double>(distinct_.size() + distinct_nans_);
     case AggFn::kSum: {
       // SQL semantics: SUM over zero rows is NULL (also keeps cube lookups,
       // where empty groups are absent, consistent with naive execution).

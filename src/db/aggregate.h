@@ -76,6 +76,10 @@ class Aggregator {
   std::optional<double> min_;
   std::optional<double> max_;
   std::unordered_set<Value, ValueHasher> distinct_;
+  /// NaN cells seen by CountDistinct, kept out of `distinct_`: each one is
+  /// a value of its own (NaN equals nothing), and since every NaN hashes
+  /// alike, inserting them would make each insert walk all the earlier ones.
+  size_t distinct_nans_ = 0;
 };
 
 }  // namespace db

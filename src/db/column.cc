@@ -1,5 +1,8 @@
 #include "db/column.h"
 
+#include <cmath>
+#include <unordered_map>
+
 namespace aggchecker {
 namespace db {
 
@@ -80,30 +83,32 @@ void Column::EnsureValues() const {
 
 void Column::BuildDictionary() const {
   if (snap_ != nullptr) {
-    // Adopt the serialized dictionary: codes verbatim (one memcpy), the
-    // distinct list as decoded at load, and the index map replayed in
-    // first-appearance order — exactly how a fresh build assigns ids.
-    // (NaN distinct entries never win a find(), same as a fresh map.)
+    // Adopt the serialized dictionary: codes verbatim (one memcpy) and the
+    // distinct list as decoded at load, exactly as a fresh build assigns
+    // them.
     codes_.assign(snap_->codes, snap_->codes + num_rows_);
     distinct_ = std::move(snap_->distinct);
-    distinct_index_.clear();
-    distinct_index_.reserve(distinct_.size());
-    for (size_t i = 0; i < distinct_.size(); ++i) {
-      distinct_index_.emplace(distinct_[i], static_cast<int>(i));
-    }
     return;
   }
   distinct_.clear();
-  distinct_index_.clear();
   codes_.clear();
   codes_.reserve(values_.size());
+  std::unordered_map<Value, int32_t, ValueHasher> index;
   for (const Value& v : values_) {
     if (v.is_null()) {
       codes_.push_back(-1);
       continue;
     }
-    auto [it, inserted] =
-        distinct_index_.emplace(v, static_cast<int>(distinct_.size()));
+    const int32_t next = static_cast<int32_t>(distinct_.size());
+    // NaN equals nothing, so each NaN cell is a value of its own. It takes
+    // a fresh code without entering the map: every NaN hashes alike, and
+    // indexing them would make each insert walk all the NaNs before it.
+    if (v.type() == ValueType::kDouble && std::isnan(v.AsDoubleExact())) {
+      distinct_.push_back(v);
+      codes_.push_back(next);
+      continue;
+    }
+    auto [it, inserted] = index.emplace(v, next);
     if (inserted) distinct_.push_back(v);
     codes_.push_back(it->second);
   }
@@ -180,12 +185,6 @@ const Column::FlatView& Column::Flat() const {
 ColumnStats Column::Stats() const {
   return ColumnStats{num_rows_, num_rows_ - null_count_,
                      DistinctValues().size()};
-}
-
-int Column::DistinctIndexOf(const Value& v) const {
-  EnsureDictionary();
-  auto it = distinct_index_.find(v);
-  return it == distinct_index_.end() ? -1 : it->second;
 }
 
 }  // namespace db

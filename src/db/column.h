@@ -5,7 +5,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "db/column_stats.h"
@@ -126,9 +125,6 @@ class Column {
   /// cached; invalidated by Append.
   const std::vector<Value>& DistinctValues() const;
 
-  /// Index of `v` in DistinctValues(), or -1 if absent.
-  int DistinctIndexOf(const Value& v) const;
-
   /// Dictionary codes per row: Codes()[r] is the DistinctValues() index of
   /// row r's value, or -1 for NULL. Built lazily with the dictionary; used
   /// by the cube executor to avoid per-row value hashing. NaN cells each
@@ -173,7 +169,6 @@ class Column {
   mutable std::atomic<bool> values_built_{true};
   mutable std::atomic<bool> dict_built_{false};
   mutable std::vector<Value> distinct_;
-  mutable std::unordered_map<Value, int, ValueHasher> distinct_index_;
   mutable std::vector<int32_t> codes_;
 
   mutable std::atomic<bool> flat_built_{false};

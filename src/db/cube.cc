@@ -8,7 +8,6 @@
 #include "db/joined_relation.h"
 #include "db/relation_cache.h"
 #include "util/fault_injection.h"
-#include "util/thread_pool.h"
 
 namespace aggchecker {
 namespace db {
@@ -735,16 +734,9 @@ Status ExecuteCubeInto(const Database& db, CubeResult& result,
   CubeExecution exec;
   Status prep = exec.Prepare(db, &result, stats, governor, options);
   if (!prep.ok()) return prep;
-  const size_t num_blocks = exec.num_blocks();
-  if (options.pool != nullptr && num_blocks > 1) {
-    Status status = options.pool->ParallelForStatus(
-        0, num_blocks, [&](size_t b) { return exec.ScanBlock(b); });
+  for (size_t b = 0; b < exec.num_blocks(); ++b) {
+    Status status = exec.ScanBlock(b);
     if (!status.ok()) return status;
-  } else {
-    for (size_t b = 0; b < num_blocks; ++b) {
-      Status status = exec.ScanBlock(b);
-      if (!status.ok()) return status;
-    }
   }
   return exec.Finish();
 }

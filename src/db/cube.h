@@ -15,9 +15,6 @@
 #include "util/status.h"
 
 namespace aggchecker {
-
-class ThreadPool;
-
 namespace db {
 
 class RelationCache;
@@ -174,13 +171,6 @@ const char* CubeExecModeName(CubeExecMode mode);
 /// Execution options for one cube materialization.
 struct CubeExecOptions {
   CubeExecMode mode = CubeExecMode::kVectorized;
-  /// Optional pool for the vectorized combo-assignment pass (pass 1), which
-  /// parallelizes over fixed row blocks with a deterministic block-order
-  /// fold. The caller must not already be inside a region of this pool.
-  /// Ignored by the scalar oracle. nullptr = serial. (The EvalEngine does
-  /// not use this — it schedules (job, block) morsels itself; this knob
-  /// serves standalone ExecuteCubeInto callers.)
-  ThreadPool* pool = nullptr;
   /// Optional shared relation cache: the cube's joined relation is acquired
   /// through it (built once per distinct table set, memory charged once per
   /// governor run) instead of being rebuilt per cube. nullptr = build a

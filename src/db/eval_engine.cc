@@ -295,8 +295,7 @@ void EvalEngine::RecoverBatch(const std::vector<QueryInterner::Id>& ids,
   if (batch_failed_.empty()) return;
   std::vector<std::pair<size_t, Status>> failed = std::move(batch_failed_);
   batch_failed_.clear();
-  if (!recovery_.has_value() ||
-      (governor_ != nullptr && governor_->exhausted())) {
+  if (!recovery_ || (governor_ != nullptr && governor_->exhausted())) {
     // Recovery off (raw-engine/differential use), or the run is already
     // resource-capped — re-runs would fail their first governor charge.
     // The hard error stays in its channel; callers see which queries died.
@@ -333,16 +332,15 @@ void EvalEngine::RecoverBatch(const std::vector<QueryInterner::Id>& ids,
     pending.push_back(Pending{index, std::move(status), 1});
   }
 
-  const RetryPolicy& retry = recovery_->retry;
   uint32_t rung = 0;  // 0 = primary, 1 = reference
   uint32_t attempt_on_rung = 1;
   while (!pending.empty()) {
     if (governor_ != nullptr && governor_->exhausted()) break;
     bool any_transient = false;
     for (const Pending& p : pending) any_transient |= p.last.IsTransient();
-    if (any_transient && attempt_on_rung < retry.max_attempts) {
-      // Same-rung retry with capped exponential backoff.
-      SleepForBackoff(retry, attempt_on_rung);
+    if (any_transient && attempt_on_rung < kMaxAttempts) {
+      // Same-rung retry, at once: inside a run only an armed fault point
+      // raises a transient error, so a wait would buy nothing.
       ++attempt_on_rung;
       ++stats_.recovery_retries;
     } else if (has_reference_rung && rung == 0) {

@@ -13,7 +13,6 @@
 #include "db/executor.h"
 #include "db/query.h"
 #include "db/query_interner.h"
-#include "util/retry.h"
 #include "util/thread_pool.h"
 
 namespace aggchecker {
@@ -179,21 +178,21 @@ class EvalEngine {
     bool recovered = false;  ///< false = quarantined on every rung
   };
 
-  /// Enables (options.enabled, the default) or disables the self-healing
-  /// layer: hard-failed queries are retried with backoff while their error
-  /// is transient, then re-run on the reference rung (scalar cube oracle
-  /// over uncached joins), and only queries failing there too are
-  /// surrendered (ConsumeFailedQueries / queries_quarantined).
-  /// Raw engines default to OFF so differential tests observe unmasked
-  /// errors; core::AggChecker turns it on from CheckOptions::recovery.
-  void SetRecovery(const RecoveryOptions& options) {
-    if (options.enabled) {
-      recovery_ = options;
-    } else {
-      recovery_.reset();
-    }
-  }
-  bool recovery_enabled() const { return recovery_.has_value(); }
+  /// Evaluation attempts per ladder rung, the first included: a query
+  /// whose error is transient re-runs at once on the same rung until it
+  /// has run this often. core::AggChecker applies the same cap to
+  /// run-level retries of a whole translation.
+  static constexpr uint32_t kMaxAttempts = 3;
+
+  /// Enables or disables the self-healing layer: hard-failed queries are
+  /// re-run on the same rung while their error is transient (up to
+  /// kMaxAttempts), then on the reference rung (scalar cube oracle over
+  /// uncached joins), and only queries failing there too are surrendered
+  /// (ConsumeFailedQueries / queries_quarantined). Raw engines default to
+  /// OFF so differential tests observe unmasked errors; core::AggChecker
+  /// turns it on at Create.
+  void SetRecovery(bool enabled) { recovery_ = enabled; }
+  bool recovery_enabled() const { return recovery_; }
 
   /// Returns (and clears) the batch-local indices of queries whose hard
   /// failure survived recovery (or recovery was disabled). Callers that map
@@ -327,8 +326,8 @@ class EvalEngine {
   /// for the recovery pass.
   void NoteQueryFailure(size_t index, const Status& status);
 
-  /// The recovery pass (DESIGN.md §13): retries batch_failed_ queries of
-  /// `ids` with capped backoff while transient, then re-runs the
+  /// The recovery pass (DESIGN.md §13): re-runs batch_failed_ queries of
+  /// `ids` on the same rung while transient, then re-runs the
   /// still-failing subset on the reference rung. Healed results are written
   /// into `results`; queries failing on every rung are quarantined.
   void RecoverBatch(const std::vector<QueryInterner::Id>& ids,
@@ -422,7 +421,7 @@ class EvalEngine {
   std::mutex hard_error_mu_;
   Status hard_error_;  ///< first unexpected error; see ConsumeHardError()
   // ---- Recovery state (see SetRecovery) --------------------------------
-  std::optional<RecoveryOptions> recovery_;  ///< nullopt = recovery off
+  bool recovery_ = false;
   /// (batch index, status) of this dispatch's hard-failed queries; filled
   /// serially by fold/answer phases, drained by RecoverBatch.
   std::vector<std::pair<size_t, Status>> batch_failed_;

@@ -20,18 +20,6 @@ Priors Priors::Uniform(const fragments::FragmentCatalog& catalog) {
   return p;
 }
 
-double Priors::QueryPrior(const db::SimpleAggregateQuery& query,
-                          const fragments::FragmentCatalog& catalog) const {
-  double prior = fn_prior(query.fn);
-  int col_idx = catalog.AggColumnIndex(query.agg_column);
-  if (col_idx >= 0) prior *= agg_col_prior(col_idx);
-  for (const db::Predicate& p : query.predicates) {
-    int restrict_idx = catalog.PredicateColumnIndex(p.column);
-    if (restrict_idx >= 0) prior *= restrict_prior(restrict_idx);
-  }
-  return prior;
-}
-
 Priors Priors::FromMlQueries(
     const std::vector<db::SimpleAggregateQuery>& ml_queries,
     const fragments::FragmentCatalog& catalog, double smoothing) {

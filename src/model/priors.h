@@ -30,11 +30,6 @@ class Priors {
     return restrict_[static_cast<size_t>(column_index)];
   }
 
-  /// Prior probability Pr(Q_c = q), per §5.3: pf(q) * pa(q) * prod of
-  /// restriction priors over restricted columns.
-  double QueryPrior(const db::SimpleAggregateQuery& query,
-                    const fragments::FragmentCatalog& catalog) const;
-
   /// \brief Maximization step (line 17 of Algorithm 3): re-estimates each
   /// component as the (Laplace-smoothed) fraction of maximum-likelihood
   /// queries with the corresponding property.

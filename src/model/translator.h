@@ -46,10 +46,6 @@ struct ClaimRecovery {
   bool quarantined = false;   ///< some query failed on every rung; the
                               ///< claim degrades to a partial verdict
   bool engaged() const { return attempts > 0; }
-  /// "primary" / "reference".
-  const char* final_path() const {
-    return db::EvalEngine::RecoveryRungName(deepest_rung);
-  }
 };
 
 /// \brief Output of the expectation-maximization translation.

@@ -109,21 +109,4 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
   if (region.error) std::rethrow_exception(region.error);
 }
 
-Status ThreadPool::ParallelForStatus(size_t begin, size_t end,
-                                     const std::function<Status(size_t)>& body) {
-  std::mutex status_mu;
-  size_t status_index = std::numeric_limits<size_t>::max();
-  Status first = Status::OK();
-  ParallelFor(begin, end, [&](size_t i) {
-    Status s = body(i);
-    if (s.ok()) return;
-    std::lock_guard<std::mutex> lock(status_mu);
-    if (i < status_index) {
-      status_index = i;
-      first = std::move(s);
-    }
-  });
-  return first;
-}
-
 }  // namespace aggchecker

@@ -7,8 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "util/status.h"
-
 namespace aggchecker {
 
 /// \brief Fixed-size pool of persistent worker threads with a blocking
@@ -24,12 +22,11 @@ namespace aggchecker {
 /// into pre-sized per-index slots and fold the slots serially afterwards
 /// (see EvalEngine::EvaluateMergedIds and Translator for the pattern).
 ///
-/// Exception / Status propagation: if body invocations throw, the exception
-/// from the *lowest* failing index is rethrown on the caller's thread once
-/// the range completes (remaining iterations still run; cooperative
-/// cancellation is the governor's job, not the pool's). ParallelForStatus
-/// likewise returns the non-OK Status of the lowest failing index, so the
-/// surfaced error does not depend on thread interleaving.
+/// Exception propagation: if body invocations throw, the exception from the
+/// *lowest* failing index is rethrown on the caller's thread once the range
+/// completes (remaining iterations still run; cooperative cancellation is
+/// the governor's job, not the pool's), so the surfaced error does not
+/// depend on thread interleaving.
 ///
 /// A pool with `num_threads <= 1` spawns no workers and runs every region
 /// inline on the caller — byte-for-byte today's serial path.
@@ -62,12 +59,6 @@ class ThreadPool {
   /// pool (one region at a time).
   void ParallelFor(size_t begin, size_t end,
                    const std::function<void(size_t)>& body);
-
-  /// As ParallelFor, but `body` reports failure via Status. Returns the
-  /// non-OK Status of the lowest failing index, or OK. Exceptions from the
-  /// body still propagate as in ParallelFor.
-  Status ParallelForStatus(size_t begin, size_t end,
-                           const std::function<Status(size_t)>& body);
 
  private:
   struct Region;  // shared state of one ParallelFor call

@@ -47,20 +47,13 @@ bool FullMatrix() {
   return v != nullptr && std::string(v) == "full";
 }
 
-/// Fast recovery for chaos sweeps: no backoff sleeps, same ladder.
-core::CheckOptions FastRecoveryOptions() {
-  core::CheckOptions options;
-  options.recovery.retry.initial_backoff_ms = 0;
-  return options;
-}
-
 struct RunOutcome {
   Status status;
   core::CheckReport report;
 };
 
 RunOutcome RunArticle(const corpus::CorpusCase& test_case,
-                      core::CheckOptions options) {
+                      core::CheckOptions options = {}) {
   RunOutcome out;
   test_case.database.relation_cache().Clear();
   auto checker = core::AggChecker::Create(&test_case.database, options);
@@ -137,8 +130,8 @@ void RunAllDrivers() {
   auto articles = corpus::EmbeddedArticles();
   ASSERT_FALSE(articles.empty());
   const corpus::CorpusCase& article = articles.front();
-  (void)RunArticle(article, FastRecoveryOptions());  // merged/default points
-  core::CheckOptions naive = FastRecoveryOptions();
+  (void)RunArticle(article);  // merged/default points
+  core::CheckOptions naive;
   naive.strategy = db::EvalStrategy::kNaive;
   (void)RunArticle(article, naive);  // executor.execute / executor.scan
   auto orders = testing_fixtures::MakeOrdersDatabase();
@@ -148,8 +141,7 @@ void RunAllDrivers() {
   {
     // eval.recheck.splice: with no data change every claim takes the
     // splice path of an incremental re-check.
-    auto checker =
-        core::AggChecker::Create(&article.database, FastRecoveryOptions());
+    auto checker = core::AggChecker::Create(&article.database);
     ASSERT_TRUE(checker.ok());
     auto prior = checker->Check(article.document);
     ASSERT_TRUE(prior.ok());
@@ -164,7 +156,6 @@ void RunAllDrivers() {
   }
   corpus::FleetCorpus fleet = corpus::GenerateFleet(TinyFleetSpec());
   core::FleetOptions fleet_options;
-  fleet_options.check = FastRecoveryOptions();
   (void)core::RunFleet(corpus::FleetDocuments(fleet), fleet_options);
 }
 
@@ -220,7 +211,7 @@ TEST(ChaosMatrixTest, EveryManifestPointArmedAtFullRate) {
 
   for (size_t a = 0; a < sample; ++a) {
     const corpus::CorpusCase& article = articles[a];
-    const RunOutcome reference = RunArticle(article, FastRecoveryOptions());
+    const RunOutcome reference = RunArticle(article);
     ASSERT_TRUE(reference.status.ok())
         << article.name << ": " << reference.status.ToString();
     const std::string reference_fp = VerdictFingerprint(reference.report);
@@ -236,7 +227,7 @@ TEST(ChaosMatrixTest, EveryManifestPointArmedAtFullRate) {
                    // fault has its own rebuild-fallback test below)
       }
       fi::Arm(point);
-      RunOutcome outcome = RunArticle(article, FastRecoveryOptions());
+      RunOutcome outcome = RunArticle(article);
       const uint64_t hits = fi::HitCount(point);
       fi::DisarmAll();
 
@@ -295,7 +286,7 @@ TEST(ChaosMatrixTest, HalfTripRateRecoversOnPrimaryRung) {
   // One thread: the seeded schedule draws per hit, so the hit sequence —
   // and with it the recovery counters compared below — is fixed only when
   // morsels run in order.
-  core::CheckOptions options = FastRecoveryOptions();
+  core::CheckOptions options;
   options.model.num_threads = 1;
   const RunOutcome reference = RunArticle(article, options);
   ASSERT_TRUE(reference.status.ok());
@@ -351,7 +342,7 @@ TEST(ChaosMatrixTest, UnsheddableFaultQuarantinesInsteadOfAborting) {
   const corpus::CorpusCase& article = articles.front();
 
   fi::Arm("cube.materialize");
-  RunOutcome outcome = RunArticle(article, FastRecoveryOptions());
+  RunOutcome outcome = RunArticle(article);
   fi::DisarmAll();
 
   ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
@@ -367,7 +358,7 @@ TEST(ChaosMatrixTest, UnsheddableFaultQuarantinesInsteadOfAborting) {
   }
 
   // Nothing sticky: the fault disarmed, the same article verifies cleanly.
-  RunOutcome clean = RunArticle(article, FastRecoveryOptions());
+  RunOutcome clean = RunArticle(article);
   ASSERT_TRUE(clean.status.ok());
   EXPECT_EQ(clean.report.NumQuarantined(), 0u);
 }
@@ -384,7 +375,6 @@ TEST(ChaosMatrixTest, FleetPopFaultQuarantinesOneDocumentAlone) {
   ASSERT_EQ(documents.size(), 3u);
 
   core::FleetOptions options;
-  options.check = FastRecoveryOptions();
   core::FleetRunResult reference = core::RunFleet(documents, options);
   ASSERT_EQ(reference.documents_failed, 0u);
 
@@ -432,7 +422,6 @@ TEST(ChaosMatrixTest, FleetCatalogFaultFailsOnlyItsDataSet) {
   ASSERT_EQ(documents.size(), 4u);
 
   core::FleetOptions options;
-  options.check = FastRecoveryOptions();
   core::FleetRunResult reference = core::RunFleet(documents, options);
   ASSERT_EQ(reference.documents_failed, 0u);
 
@@ -525,7 +514,7 @@ TEST(ChaosMatrixTest, SnapshotMapFaultFallsBackToRebuild) {
   save.save = true;
   corpus::SnapshotRunStats save_stats;
   auto reference =
-      corpus::RunOnCorpus(one, FastRecoveryOptions(), save, &save_stats);
+      corpus::RunOnCorpus(one, core::CheckOptions{}, save, &save_stats);
   ASSERT_EQ(reference.reports.size(), 1u);
   ASSERT_EQ(save_stats.cases_saved, 1u);
   const std::string reference_fp = VerdictFingerprint(reference.reports[0]);
@@ -537,7 +526,7 @@ TEST(ChaosMatrixTest, SnapshotMapFaultFallsBackToRebuild) {
   fi::Arm("snapshot.load.map");
   corpus::SnapshotRunStats faulted_stats;
   auto faulted =
-      corpus::RunOnCorpus(one, FastRecoveryOptions(), load, &faulted_stats);
+      corpus::RunOnCorpus(one, core::CheckOptions{}, load, &faulted_stats);
   const uint64_t hits = fi::HitCount("snapshot.load.map");
   fi::DisarmAll();
 
@@ -551,7 +540,7 @@ TEST(ChaosMatrixTest, SnapshotMapFaultFallsBackToRebuild) {
   // Disarmed, the same snapshot loads and still reports identically.
   corpus::SnapshotRunStats loaded_stats;
   auto loaded =
-      corpus::RunOnCorpus(one, FastRecoveryOptions(), load, &loaded_stats);
+      corpus::RunOnCorpus(one, core::CheckOptions{}, load, &loaded_stats);
   EXPECT_EQ(loaded_stats.cases_loaded, 1u);
   EXPECT_EQ(loaded_stats.cases_rebuilt, 0u);
   ASSERT_EQ(loaded.reports.size(), 1u);
@@ -625,8 +614,7 @@ TEST(ChaosMatrixTest, SpliceFaultDegradesToReEvaluation) {
   ASSERT_FALSE(articles.empty());
   const corpus::CorpusCase& article = articles.front();
   article.database.relation_cache().Clear();
-  auto checker =
-      core::AggChecker::Create(&article.database, FastRecoveryOptions());
+  auto checker = core::AggChecker::Create(&article.database);
   ASSERT_TRUE(checker.ok());
   auto prior = checker->Check(article.document);
   ASSERT_TRUE(prior.ok());

@@ -34,9 +34,11 @@ for repeated substance abuse offenses, one was for gambling.</p>
 /// Runs the whole pipeline from raw CSV text to a report, routing every
 /// failure into the returned Status (no step may crash under injection).
 /// When `report_out` is non-null, a successful run's report is copied out so
-/// callers can inspect recovery/quarantine state.
+/// callers can inspect recovery/quarantine state. `recovery = false` turns
+/// the engine's self-healing layer off after Create (fail-fast mode).
 Status RunPipeline(core::CheckOptions options = {},
-                   core::CheckReport* report_out = nullptr) {
+                   core::CheckReport* report_out = nullptr,
+                   bool recovery = true) {
   auto data = csv::Parse(testing_fixtures::kNflCsv);
   if (!data.ok()) return data.status();
   auto table = db::Table::FromCsv("nflsuspensions", *data);
@@ -46,6 +48,7 @@ Status RunPipeline(core::CheckOptions options = {},
   if (!added.ok()) return added;
   auto checker = core::AggChecker::Create(&database, options);
   if (!checker.ok()) return checker.status();
+  checker->engine().SetRecovery(recovery);
   auto doc = text::ParseDocument(kArticle);
   if (!doc.ok()) return doc.status();
   auto report = checker->Check(*doc);
@@ -137,7 +140,7 @@ TEST(ChaosTest, EveryFaultPointOneAtATime) {
 }
 
 // The fail-fast contract survives behind the recovery switch: with
-// `recovery.enabled = false`, quarantine still keeps per-query faults from
+// `engine().SetRecovery(false)`, quarantine still keeps per-query faults from
 // aborting the run (failed queries have owners), but nothing is retried and
 // nothing heals — every armed evaluation fault must surface as a failure or
 // a quarantined claim, never as a silent success.
@@ -150,14 +153,10 @@ TEST(ChaosTest, RecoveryDisabledNeverHealsSilently) {
   for (const std::string& point : points) {
     if (point == "join.materialize") continue;  // unhit on one-table runs
     fi::Arm(point);
-    core::CheckOptions merged_options;
-    merged_options.recovery.enabled = false;
-    core::CheckOptions naive_options = NaiveOptions();
-    naive_options.recovery.enabled = false;
     core::CheckReport merged_report;
     core::CheckReport naive_report;
-    Status merged_status = RunPipeline(merged_options, &merged_report);
-    Status naive_status = RunPipeline(naive_options, &naive_report);
+    Status merged_status = RunPipeline({}, &merged_report, false);
+    Status naive_status = RunPipeline(NaiveOptions(), &naive_report, false);
     EXPECT_TRUE(IsDocumentedOutcome(merged_status)) << point;
     EXPECT_TRUE(IsDocumentedOutcome(naive_status)) << point;
     EXPECT_EQ(merged_report.NumRecovered() + merged_report.eval_stats
@@ -300,10 +299,10 @@ TEST(ChaosTest, FuzzLiteStarvedMemoryBudgetsDegradeGracefully) {
            {db::CubeExecMode::kVectorized, db::CubeExecMode::kScalarOracle}) {
         core::CheckOptions check_options;
         check_options.governor.max_memory_bytes = budget;
-        check_options.cube_exec = mode;
         auto checker =
             core::AggChecker::Create(&test_case.database, check_options);
         ASSERT_TRUE(checker.ok());
+        checker->engine().SetCubeExecMode(mode);
         auto report = checker->Check(test_case.document);
         ASSERT_TRUE(report.ok())
             << "case " << c << " budget " << budget << " mode "

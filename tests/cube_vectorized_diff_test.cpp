@@ -214,17 +214,33 @@ struct ExecOutcome {
   GovernorUsage usage;
 };
 
+/// Materializes `spec` in `mode`: through ExecuteCube when `pool` is null,
+/// otherwise as the engine does, scanning the row blocks concurrently on
+/// `pool` before the serial block-order fold in Finish.
 ExecOutcome RunCube(const Database& database, const CubeSpec& spec,
-                CubeExecMode mode, ThreadPool* pool) {
+                    CubeExecMode mode, ThreadPool* pool) {
   ExecOutcome out;
   ResourceGovernor governor;
   CubeExecOptions options;
   options.mode = mode;
-  options.pool = pool;
-  auto cube = ExecuteCube(database, spec.dims, spec.literals, spec.aggs,
-                          nullptr, &governor, options);
-  EXPECT_TRUE(cube.ok()) << cube.status().ToString();
-  if (cube.ok()) out.cube = *cube;
+  auto cube =
+      std::make_shared<CubeResult>(spec.dims, spec.literals, spec.aggs);
+  Status status = Status::OK();
+  if (pool == nullptr) {
+    status = ExecuteCubeInto(database, *cube, nullptr, &governor, options);
+  } else {
+    CubeExecution exec;
+    status = exec.Prepare(database, cube.get(), nullptr, &governor, options);
+    std::vector<Status> scans(status.ok() ? exec.num_blocks() : 0);
+    pool->ParallelFor(0, scans.size(),
+                      [&](size_t b) { scans[b] = exec.ScanBlock(b); });
+    for (const Status& scan : scans) {
+      if (status.ok()) status = scan;
+    }
+    if (status.ok()) status = exec.Finish();
+  }
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  if (status.ok()) out.cube = cube;
   out.usage = governor.usage();
   return out;
 }

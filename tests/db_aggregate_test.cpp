@@ -73,13 +73,18 @@ TEST(AggregateTest, MinMaxWithNonFiniteIsUndefined) {
 }
 
 TEST(AggregateTest, CountIgnoresNonFinite) {
-  // Count counts rows, not magnitudes: poison does not apply.
+  // Count counts rows, not magnitudes: poison does not apply. CountDistinct
+  // counts each NaN cell as a value of its own (NaN equals nothing).
   db::Aggregator agg(db::AggFn::kCount);
-  agg.Add(db::Value(kNan));
-  agg.Add(db::Value(1.0));
+  db::Aggregator distinct(db::AggFn::kCountDistinct);
+  for (double v : {kNan, 1.0, kNan, 1.0}) {
+    agg.Add(db::Value(v));
+    distinct.Add(db::Value(v));
+  }
   auto r = agg.Finish();
   ASSERT_TRUE(r.has_value());
-  EXPECT_DOUBLE_EQ(*r, 2.0);
+  EXPECT_DOUBLE_EQ(*r, 4.0);
+  EXPECT_EQ(distinct.Finish(), std::optional<double>(3.0));
 }
 
 TEST(AggregateTest, SumOfZeroRowsIsNull) {

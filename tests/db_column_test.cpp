@@ -53,12 +53,17 @@ TEST(ColumnFlatViewTest, MixedDoubleColumnCoercesLikeToDouble) {
   col.Append(Value(int64_t{3}));
   col.Append(Value(2.5));
   col.Append(Value(std::nan("")));
+  col.Append(Value(std::nan("")));
   const Column::FlatView& flat = col.Flat();
   ASSERT_NE(flat.doubles, nullptr);
   EXPECT_EQ(flat.longs, nullptr);
   EXPECT_DOUBLE_EQ(flat.doubles[0], 3.0);
   EXPECT_DOUBLE_EQ(flat.doubles[1], 2.5);
   EXPECT_TRUE(std::isnan(flat.doubles[2]));
+  EXPECT_TRUE(std::isnan(flat.doubles[3]));
+  // NaN equals nothing, so each NaN cell gets a dictionary code of its own.
+  EXPECT_EQ(col.Codes(), (std::vector<int32_t>{0, 1, 2, 3}));
+  EXPECT_EQ(col.DistinctValues().size(), 4u);
 }
 
 TEST(ColumnFlatViewTest, StringColumnHasOnlyNullFlags) {

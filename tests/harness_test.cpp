@@ -47,7 +47,6 @@ TEST(HarnessTest, RecoveryCountersSurfaceInRunResult) {
   auto corpus = SmallCorpus();
 
   core::CheckOptions options;
-  options.recovery.retry.initial_backoff_ms = 0;  // sleep-free sweep
   auto clean = RunOnCorpus(corpus, options);
   EXPECT_EQ(clean.recovery_retries, 0u);
   EXPECT_EQ(clean.ladder_descents, 0u);

@@ -74,18 +74,6 @@ TEST(PriorsTest, MaximizationReflectsMlQueries) {
   EXPECT_GT(priors.restrict_prior(games), priors.restrict_prior(team));
 }
 
-TEST(PriorsTest, QueryPriorMultipliesComponents) {
-  Pipeline p;
-  Priors priors = Priors::Uniform(*p.catalog);
-  auto q0 = testing_fixtures::CountStar("nflsuspensions");
-  auto q1 = testing_fixtures::CountStar(
-      "nflsuspensions",
-      {{{"nflsuspensions", "Games"}, db::Value(std::string("indef"))}});
-  // Adding a restriction multiplies in a factor < 1.
-  EXPECT_LT(priors.QueryPrior(q1, *p.catalog),
-            priors.QueryPrior(q0, *p.catalog));
-}
-
 TEST(PriorsTest, MaxDeltaZeroForSelf) {
   Pipeline p;
   Priors priors = Priors::Uniform(*p.catalog);

@@ -14,19 +14,12 @@
 #include "test_fixtures.h"
 #include "util/fault_injection.h"
 #include "util/resource_governor.h"
-#include "util/retry.h"
 
 namespace aggchecker {
 namespace {
 
 namespace fi = fault_injection;
 using testing_fixtures::CountStar;
-
-RecoveryOptions FastRecovery() {
-  RecoveryOptions options;
-  options.retry.initial_backoff_ms = 0;  // keep chaos sweeps sleep-free
-  return options;
-}
 
 std::vector<db::SimpleAggregateQuery> NflQueries() {
   return {
@@ -49,7 +42,7 @@ TEST(RecoveryTest, LadderHealsVectorizedCubeFault) {
   ASSERT_TRUE(expected[0].has_value());
 
   db::EvalEngine engine(&db, db::EvalStrategy::kMergedCached);
-  engine.SetRecovery(FastRecovery());
+  engine.SetRecovery(true);
   fi::Arm("cube.scan.vectorized");  // permanent kInternal, every hit
   const auto results = engine.EvaluateBatch(queries);
   fi::DisarmAll();
@@ -75,8 +68,8 @@ TEST(RecoveryTest, LadderHealsVectorizedCubeFault) {
   EXPECT_NE(engine.relation_cache(), nullptr);
 }
 
-// A transient fault that fires once heals by same-rung retry: backoff is
-// taken, no ladder rung is engaged, and the record lands on rung 0.
+// A transient fault that fires once heals by same-rung retry: no ladder
+// rung is engaged, and the record lands on rung 0.
 TEST(RecoveryTest, TransientFaultHealsOnPrimaryRung) {
   fi::DisarmAll();
   auto db = testing_fixtures::MakeNflDatabase();
@@ -85,7 +78,7 @@ TEST(RecoveryTest, TransientFaultHealsOnPrimaryRung) {
   const auto expected = reference.EvaluateBatch(queries);
 
   db::EvalEngine engine(&db, db::EvalStrategy::kMergedCached);
-  engine.SetRecovery(FastRecovery());
+  engine.SetRecovery(true);
   fi::FaultSpec spec;
   spec.code = StatusCode::kUnavailable;
   spec.message = "momentary scan glitch";
@@ -122,7 +115,7 @@ TEST(RecoveryTest, LadderReachesFreshJoinRung) {
   db.relation_cache().Clear();
 
   db::EvalEngine engine(&db, db::EvalStrategy::kMergedCached);
-  engine.SetRecovery(FastRecovery());
+  engine.SetRecovery(true);
   fi::Arm("relation.cache.acquire");
   const auto results = engine.EvaluateBatch(queries);
   fi::DisarmAll();
@@ -170,7 +163,7 @@ TEST(RecoveryTest, PoisonQueryQuarantinedAloneOthersSucceed) {
   auto db = testing_fixtures::MakeNflDatabase();
   auto queries = NflQueries();
   db::EvalEngine engine(&db, db::EvalStrategy::kNaive);
-  engine.SetRecovery(FastRecovery());
+  engine.SetRecovery(true);
   // Naive execution scans once per query in index order: hit 1 is query 0
   // (passes), every hit from 2 on — including every recovery re-run — is
   // query 1 failing on each rung.
@@ -216,7 +209,7 @@ TEST(RecoveryTest, GovernorExhaustedSkipsRecovery) {
                 {{{"customers", "region"}, db::Value("east")}}),
   };
   db::EvalEngine engine(&db, db::EvalStrategy::kNaive);
-  engine.SetRecovery(FastRecovery());
+  engine.SetRecovery(true);
   GovernorLimits limits;
   limits.max_memory_bytes = 1;
   ResourceGovernor governor(limits);
@@ -252,7 +245,7 @@ TEST(RecoveryTest, CleanBatchAfterRecoveryIsUntouched) {
   const auto expected = reference.EvaluateBatch(queries);
 
   db::EvalEngine engine(&db, db::EvalStrategy::kMergedCached);
-  engine.SetRecovery(FastRecovery());
+  engine.SetRecovery(true);
   fi::Arm("cube.scan.vectorized");
   (void)engine.EvaluateBatch(queries);
   fi::DisarmAll();

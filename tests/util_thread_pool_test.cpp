@@ -1,4 +1,4 @@
-// ThreadPool: task completion, Status/exception propagation, reuse across
+// ThreadPool: task completion, exception propagation, reuse across
 // submissions, and the zero/one-worker edge cases that must reduce to the
 // inline serial path.
 
@@ -119,34 +119,19 @@ TEST(ThreadPoolTest, SingleThreadPropagatesExceptionsToo) {
       std::logic_error);
 }
 
-TEST(ThreadPoolTest, ParallelForStatusReturnsLowestFailure) {
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    ThreadPool pool(threads);
-    Status status = pool.ParallelForStatus(0, 100, [](size_t i) {
-      if (i == 23) return Status::Internal("fail 23");
-      if (i == 71) return Status::InvalidArgument("fail 71");
-      return Status::OK();
-    });
-    ASSERT_FALSE(status.ok());
-    EXPECT_EQ(status.code(), StatusCode::kInternal);
-    EXPECT_NE(status.message().find("fail 23"), std::string::npos);
-
-    EXPECT_TRUE(
-        pool.ParallelForStatus(0, 100, [](size_t) { return Status::OK(); })
-            .ok());
-  }
-}
-
 TEST(ThreadPoolTest, AllIterationsRunDespiteFailures) {
   // Failure does not cancel the remaining range (cancellation is the
   // governor's job): every index still executes.
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(64);
-  Status status = pool.ParallelForStatus(0, 64, [&](size_t i) {
-    hits[i].fetch_add(1);
-    return i % 2 == 0 ? Status::Internal("even") : Status::OK();
-  });
-  EXPECT_FALSE(status.ok());
+  EXPECT_THROW(pool.ParallelFor(0, 64,
+                                [&](size_t i) {
+                                  hits[i].fetch_add(1);
+                                  if (i % 2 == 0) {
+                                    throw std::runtime_error("even");
+                                  }
+                                }),
+               std::runtime_error);
   for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
 }
 
