@@ -33,7 +33,7 @@ struct LoadResult {
   double p99_latency = 0;
   size_t verified = 0, partial = 0, failed = 0, exhausted = 0;
   uint64_t rows_charged = 0;
-  size_t tp = 0, fp = 0, fn = 0, misaligned = 0;
+  corpus::FleetScore score;
 };
 
 double P99Latency(const core::FleetRunResult& run) {
@@ -44,25 +44,6 @@ double P99Latency(const core::FleetRunResult& run) {
   std::sort(latencies.begin(), latencies.end());
   size_t idx = (latencies.size() * 99 + 99) / 100;  // ceil(0.99 n)
   return latencies[std::min(idx, latencies.size()) - 1];
-}
-
-/// Scores the run's verdicts against the generator's by-construction ground
-/// truth, by position (the fleet generator's alignment contract).
-void ScoreDetection(const corpus::FleetCorpus& fleet,
-                    const core::FleetRunResult& run, LoadResult* out) {
-  for (const auto& doc : run.documents) {
-    if (!doc.status.ok()) continue;
-    const auto& truth = fleet.articles[doc.index].ground_truth;
-    if (doc.report.verdicts.size() != truth.size()) ++out->misaligned;
-    size_t n = std::min(doc.report.verdicts.size(), truth.size());
-    for (size_t i = 0; i < n; ++i) {
-      bool flagged = doc.report.verdicts[i].likely_erroneous;
-      bool erroneous = truth[i].is_erroneous;
-      if (flagged && erroneous) ++out->tp;
-      if (flagged && !erroneous) ++out->fp;
-      if (!flagged && erroneous) ++out->fn;
-    }
-  }
 }
 
 }  // namespace
@@ -143,16 +124,18 @@ int main(int argc, char** argv) {
     r.failed = run.documents_failed;
     r.exhausted = run.documents_exhausted;
     r.rows_charged = run.usage.rows_charged;
-    ScoreDetection(fleet, run, &r);
+    r.score = corpus::ScoreFleet(fleet, run);
     results.push_back(r);
 
+    const corpus::ErrorDetectionMetrics& d = r.score.detection;
     std::printf(
         "load=%4zu articles  %5zu claims  total=%7.2fs  "
         "throughput=%7.1f claims/s  p99_latency=%6.3fs  "
         "[verified=%zu partial=%zu failed=%zu exhausted=%zu]  "
         "detection tp=%zu fp=%zu fn=%zu\n",
         r.articles, r.claims, r.total_seconds, r.throughput, r.p99_latency,
-        r.verified, r.partial, r.failed, r.exhausted, r.tp, r.fp, r.fn);
+        r.verified, r.partial, r.failed, r.exhausted, d.true_positives,
+        d.false_positives, d.false_negatives);
   }
 
   // Bit-identity at the largest load: the pooled fleet run must produce
@@ -201,6 +184,7 @@ int main(int argc, char** argv) {
                  generation_seconds);
     for (size_t i = 0; i < results.size(); ++i) {
       const LoadResult& r = results[i];
+      const corpus::ErrorDetectionMetrics& d = r.score.detection;
       std::fprintf(
           out,
           "    {\"articles\": %zu, \"claims\": %zu, \"row_budget\": %llu, "
@@ -214,7 +198,8 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(r.row_budget), r.total_seconds,
           r.throughput, r.p99_latency, r.verified, r.partial, r.failed,
           r.exhausted, static_cast<unsigned long long>(r.rows_charged),
-          r.tp, r.fp, r.fn, r.misaligned,
+          d.true_positives, d.false_positives, d.false_negatives,
+          r.score.documents_misaligned,
           i + 1 < results.size() ? "," : "");
     }
     std::fprintf(out,
@@ -228,15 +213,18 @@ int main(int argc, char** argv) {
   if (smoke) {
     // The fleet-smoke gate (scripts/check.sh fleet-smoke).
     const LoadResult& r = results.back();
+    const size_t fp = r.score.detection.false_positives;
+    const size_t fn = r.score.detection.false_negatives;
+    const size_t misaligned = r.score.documents_misaligned;
     bool ok = true;
     if (r.throughput <= 0 || r.verified == 0) {
       std::printf("FLEET-SMOKE FAIL: zero throughput\n");
       ok = false;
     }
-    if (r.fp != 0 || r.fn != 0 || r.misaligned != 0) {
+    if (fp != 0 || fn != 0 || misaligned != 0) {
       std::printf("FLEET-SMOKE FAIL: %zu erroneous verdicts vs ground truth "
                   "(fp=%zu fn=%zu misaligned=%zu)\n",
-                  r.fp + r.fn + r.misaligned, r.fp, r.fn, r.misaligned);
+                  fp + fn + misaligned, fp, fn, misaligned);
       ok = false;
     }
     if (r.failed != 0) {

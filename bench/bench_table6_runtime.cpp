@@ -35,7 +35,6 @@ int main() {
               gen.row_scale);
 
   struct RowResult {
-    const char* label;
     db::EvalStrategy strategy;
     const char* paper;
     double total = 0, query = 0, join = 0;
@@ -44,9 +43,9 @@ int main() {
     size_t claims_recovered = 0, claims_quarantined = 0;
   };
   RowResult rows[] = {
-      {"Naive", db::EvalStrategy::kNaive, "paper 2587s total / 2415s query"},
-      {"+ Query Merging", db::EvalStrategy::kMerged, "paper 151s / 39s"},
-      {"+ Caching", db::EvalStrategy::kMergedCached, "paper 128s / 18s"},
+      {db::EvalStrategy::kNaive, "paper 2587s total / 2415s query"},
+      {db::EvalStrategy::kMerged, "paper 151s / 39s"},
+      {db::EvalStrategy::kMergedCached, "paper 128s / 18s"},
   };
   for (auto& row : rows) {
     core::CheckOptions options;
@@ -66,7 +65,8 @@ int main() {
     row.claims_quarantined = result.claims_quarantined;
     std::printf("%-18s total=%7.2fs  query=%7.2fs  cubes=%zu  "
                 "cache_hits=%zu  joins=%zu (hits %zu)   %s\n",
-                row.label, row.total, row.query, result.cube_queries,
+                db::EvalStrategyName(row.strategy), row.total, row.query,
+                result.cube_queries,
                 result.cache_hits, result.joins_built,
                 result.join_cache_hits, row.paper);
     std::printf("%-18s recovery: retries=%zu descents=%zu recovered=%zu "
@@ -127,7 +127,8 @@ int main() {
                    "\"recovery\": {\"retries\": %zu, \"ladder_descents\": "
                    "%zu, \"claims_recovered\": %zu, \"claims_quarantined\": "
                    "%zu}}%s\n",
-                   rows[i].label, rows[i].total, rows[i].query, rows[i].join,
+                   db::EvalStrategyName(rows[i].strategy), rows[i].total,
+                   rows[i].query, rows[i].join,
                    rows[i].joins_built, rows[i].join_cache_hits,
                    rows[i].recovery_retries, rows[i].ladder_descents,
                    rows[i].claims_recovered, rows[i].claims_quarantined,

@@ -40,8 +40,6 @@ class KeywordExtractor {
   std::vector<ir::InvertedIndex::TermWeight> Extract(
       const text::TextDocument& doc, const Claim& claim) const;
 
-  const KeywordContextOptions& options() const { return options_; }
-
  private:
   KeywordContextOptions options_;
   const ir::SynonymDictionary* synonyms_;

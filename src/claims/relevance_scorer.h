@@ -16,19 +16,6 @@ struct ClaimRelevance {
   std::vector<fragments::ScoredFragment> functions;
   std::vector<fragments::ScoredFragment> columns;
   std::vector<fragments::ScoredFragment> predicates;
-
-  const std::vector<fragments::ScoredFragment>& of(
-      fragments::FragmentType type) const {
-    switch (type) {
-      case fragments::FragmentType::kAggFunction:
-        return functions;
-      case fragments::FragmentType::kAggColumn:
-        return columns;
-      case fragments::FragmentType::kPredicate:
-        return predicates;
-    }
-    return functions;
-  }
 };
 
 /// \brief Implements Algorithm 1 (KeywordMatch): extracts claim keywords and

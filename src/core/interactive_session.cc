@@ -93,11 +93,5 @@ Status InteractiveSession::DismissClaim(size_t claim_idx) {
   return Status::OK();
 }
 
-size_t InteractiveSession::NumPinned() const {
-  size_t n = 0;
-  for (const auto& p : pinned_) n += p.has_value() ? 1 : 0;
-  return n;
-}
-
 }  // namespace core
 }  // namespace aggchecker

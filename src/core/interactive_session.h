@@ -56,7 +56,6 @@ class InteractiveSession {
   bool IsPinned(size_t claim_idx) const {
     return claim_idx < pinned_.size() && pinned_[claim_idx].has_value();
   }
-  size_t NumPinned() const;
 
   /// Re-translates with the current pins; updates report().
   Status Refresh();

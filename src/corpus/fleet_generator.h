@@ -93,15 +93,10 @@ struct FleetCorpus {
   }
 };
 
-/// Generates the workload. Deterministic in the spec (including seed);
-/// see FleetCorpusFingerprint for the byte-identity contract tests assert.
+/// Generates the workload. Deterministic in the spec (including seed): two
+/// corpora from one spec are byte-identical in dataset schemas and cells,
+/// article text, and per-claim ground truth (fleet_generator_test pins it).
 FleetCorpus GenerateFleet(const FleetSpec& spec);
-
-/// \brief Canonical byte rendering of everything the generator promises to
-/// be deterministic: dataset schemas and cell values, article text, and
-/// per-claim ground truth (exact hexfloat values). Two corpora from the
-/// same spec must produce equal fingerprints; different seeds must not.
-std::string FleetCorpusFingerprint(const FleetCorpus& corpus);
 
 }  // namespace corpus
 }  // namespace aggchecker

@@ -167,12 +167,11 @@ std::vector<core::FleetDocument> FleetDocuments(const FleetCorpus& corpus) {
   return documents;
 }
 
-FleetHarnessResult RunOnFleet(const FleetCorpus& corpus,
-                              const core::FleetOptions& options) {
-  FleetHarnessResult result;
-  result.run = core::RunFleet(FleetDocuments(corpus), options);
-  for (const core::FleetDocumentResult& doc : result.run.documents) {
-    if (!doc.status.ok()) continue;  // failed documents carry no verdicts
+FleetScore ScoreFleet(const FleetCorpus& corpus,
+                      const core::FleetRunResult& run) {
+  FleetScore result;
+  for (const core::FleetDocumentResult& doc : run.documents) {
+    if (!doc.status.ok()) continue;
     const FleetArticle& article = corpus.articles[doc.index];
     if (doc.report.verdicts.size() != article.ground_truth.size()) {
       ++result.documents_misaligned;

@@ -94,10 +94,9 @@ CorpusRunResult RunOnCorpus(const std::vector<CorpusCase>& corpus,
                             const SnapshotRunOptions& snapshot,
                             SnapshotRunStats* snapshot_stats = nullptr);
 
-/// \brief Fleet-mode outcome: the RunFleet drain plus accuracy scored
-/// against the generator's by-construction ground truth.
-struct FleetHarnessResult {
-  core::FleetRunResult run;
+/// \brief Accuracy of a fleet run against the generator's by-construction
+/// ground truth.
+struct FleetScore {
   /// Detection scored by position against each article's ground truth
   /// (the fleet generator emits one claim per sentence in detection order,
   /// the same alignment contract the article-scale corpus upholds).
@@ -112,14 +111,11 @@ struct FleetHarnessResult {
 /// documents; the corpus must outlive any run over them.
 std::vector<core::FleetDocument> FleetDocuments(const FleetCorpus& corpus);
 
-/// \brief Fleet mode: drains the whole corpus through RunFleet and scores
-/// verdicts against ground truth.
-///
-/// Unlike RunOnCorpus, relation caches are NOT cleared between documents —
-/// documents sharing a dataset reuse its joins, and reports are
-/// bit-identical warm or cold (DESIGN.md §11).
-FleetHarnessResult RunOnFleet(const FleetCorpus& corpus,
-                              const core::FleetOptions& options);
+/// Scores the verdicts of `run`, a RunFleet drain over FleetDocuments of
+/// `corpus` (or a prefix of them), against the corpus' ground truth.
+/// Documents that failed carry no verdicts and are skipped.
+FleetScore ScoreFleet(const FleetCorpus& corpus,
+                      const core::FleetRunResult& run);
 
 }  // namespace corpus
 }  // namespace aggchecker

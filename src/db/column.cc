@@ -31,21 +31,6 @@ void Column::Append(Value v) {
   flat_built_.store(false, std::memory_order_release);
 }
 
-void Column::Update(size_t row, Value v) {
-  // Same materialize-then-detach dance as Append: after the first mutation
-  // the column owns plain boxed storage and the lazy views rebuild from it.
-  if (snap_ != nullptr) {
-    EnsureValues();
-    snap_.reset();
-  }
-  Value& cell = values_[row];
-  if (cell.is_null()) --null_count_;
-  if (v.is_null()) ++null_count_;
-  cell = std::move(v);
-  dict_built_.store(false, std::memory_order_release);
-  flat_built_.store(false, std::memory_order_release);
-}
-
 void Column::MaterializeValues() const {
   values_.clear();
   values_.reserve(num_rows_);

@@ -112,14 +112,10 @@ class Column {
     return values_;
   }
 
+  /// Appends one cell. Columns only grow: rows already present keep their
+  /// `Codes()` entries and `DistinctValues()` keeps its order, so a value
+  /// first seen in an appended row takes the next code.
   void Append(Value v);
-
-  /// Replaces the value at `row` (no bounds check beyond the debug assert a
-  /// vector gives you — Table::UpdateCell validates). Shares Append's
-  /// mutation contract: a snapshot-backed column materializes and detaches
-  /// first, derived representations rebuild lazily, and no const accessor
-  /// may run concurrently.
-  void Update(size_t row, Value v);
 
   /// Distinct non-null values, in first-appearance order. Built lazily and
   /// cached; invalidated by Append.

@@ -12,13 +12,6 @@
 namespace aggchecker {
 namespace db {
 
-int CubeResult::AggregateIndex(const CubeAggregate& agg) const {
-  for (size_t i = 0; i < aggregates_.size(); ++i) {
-    if (aggregates_[i] == agg) return static_cast<int>(i);
-  }
-  return -1;
-}
-
 std::optional<double> CubeResult::LookupPacked(uint64_t key,
                                                size_t agg_idx) const {
   auto it = cells_.find(key);

@@ -33,9 +33,6 @@ struct CubeAggregate {
     return std::string(AggFnName(fn)) + "(" +
            (is_star() ? "*" : column.ToString()) + ")";
   }
-  bool operator==(const CubeAggregate& other) const {
-    return fn == other.fn && column == other.column;
-  }
 };
 
 /// \brief Replayable record of the governor work one completed cube
@@ -113,9 +110,6 @@ class CubeResult {
   const std::vector<std::vector<Value>>& literals() const { return literals_; }
   const std::vector<CubeAggregate>& aggregates() const { return aggregates_; }
 
-  /// Index of an aggregate in this result, or -1.
-  int AggregateIndex(const CubeAggregate& agg) const;
-
   /// Looks up the value of aggregate `agg_idx` for a bucket-code key.
   /// Missing cells mean "no rows matched" and yield nullopt; for Count this
   /// is reported as 0 by the engine, not here.
@@ -130,9 +124,6 @@ class CubeResult {
   /// Bucket code of `v` on dimension `dim`: literal index or kDefaultBucket.
   int16_t BucketOf(size_t dim, const Value& v) const;
 
-  void Set(const std::vector<int16_t>& key, size_t agg_idx, double value) {
-    SetPacked(PackKey(key), agg_idx, value);
-  }
   void SetPacked(uint64_t key, size_t agg_idx, double value);
 
   size_t num_cells() const { return cells_.size(); }

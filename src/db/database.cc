@@ -51,14 +51,6 @@ Status Database::AppendRows(const std::string& table,
   return tables_[static_cast<size_t>(idx)]->AppendRows(std::move(rows));
 }
 
-Status Database::UpdateCell(const std::string& table, size_t row,
-                            const std::string& column, Value v) {
-  int idx = TableIndex(table);
-  if (idx < 0) return Status::NotFound("unknown table: " + table);
-  return tables_[static_cast<size_t>(idx)]->UpdateCell(row, column,
-                                                       std::move(v));
-}
-
 uint64_t Database::TableVersion(const std::string& table) const {
   int idx = TableIndex(table);
   return idx < 0 ? 0 : tables_[static_cast<size_t>(idx)]->version();

@@ -29,13 +29,6 @@ struct ColumnRef {
   std::string ToString() const { return table + "." + column; }
 };
 
-struct ColumnRefHasher {
-  size_t operator()(const ColumnRef& r) const {
-    return std::hash<std::string>{}(r.table) * 1000003 ^
-           std::hash<std::string>{}(r.column);
-  }
-};
-
 /// \brief A primary-key/foreign-key edge between two tables.
 struct ForeignKey {
   ColumnRef from;  ///< referencing (foreign-key) column
@@ -79,16 +72,12 @@ class Database {
   /// Resolves a column reference; null if the table or column is missing.
   const Column* FindColumn(const ColumnRef& ref) const;
 
-  /// \brief Post-build ingestion (DESIGN.md §16): appends rows to `table`
-  /// and bumps its data version. Validation and atomicity per
-  /// Table::AppendRows; version-keyed caches (relation cache, cube results)
-  /// invalidate lazily on their next acquire.
+  /// \brief Post-build ingestion (DESIGN.md §16), which is append-only:
+  /// appends rows to `table` and bumps its data version. Validation and
+  /// atomicity per Table::AppendRows; version-keyed caches (relation cache,
+  /// cube results) invalidate lazily on their next acquire.
   Status AppendRows(const std::string& table,
                     std::vector<std::vector<Value>> rows);
-
-  /// In-place single-cell update on `table`; bumps its data version.
-  Status UpdateCell(const std::string& table, size_t row,
-                    const std::string& column, Value v);
 
   /// Current data version of `table` (case-insensitive), or 0 if the table
   /// does not exist — 0 never collides with a real version (they start

@@ -286,10 +286,6 @@ void EvalEngine::NoteQueryFailure(size_t index, const Status& status) {
   batch_failed_.emplace_back(index, status);
 }
 
-const char* EvalEngine::RecoveryRungName(uint32_t rung) {
-  return rung == 0 ? "primary" : "reference";
-}
-
 void EvalEngine::RecoverBatch(const std::vector<QueryInterner::Id>& ids,
                               std::vector<std::optional<double>>& results) {
   if (batch_failed_.empty()) return;

@@ -80,8 +80,6 @@ struct EvalStats {
   /// benchmark reads them as db.kernel_rows / db.kernel_rows_skipped.
   size_t probe_slice_rows_total = 0;
   size_t probe_slice_rows_skipped = 0;
-
-  void Reset() { *this = EvalStats{}; }
 };
 
 /// \brief Batch evaluator for candidate queries (Function RefineByEval's
@@ -127,12 +125,10 @@ class EvalEngine {
   std::optional<double> Evaluate(const SimpleAggregateQuery& query);
 
   const EvalStats& stats() const { return stats_; }
-  void ResetStats() { stats_.Reset(); }
   void ClearCache() {
     fp_cache_.clear();
     fp_cache_order_.clear();
   }
-  EvalStrategy strategy() const { return strategy_; }
 
   /// The engine's query interner. Callers (the translator) intern candidate
   /// fragments through this and ship ids to EvaluateInterned. Interning is
@@ -170,7 +166,7 @@ class EvalEngine {
   /// via ConsumeRecoveryRecords). `rung` is the ladder position the query
   /// ended on: 0 = healed by same-rung retries on the primary
   /// configuration, 1 = the reference configuration (scalar cube oracle,
-  /// relation cache detached); see RecoveryRungName.
+  /// relation cache detached).
   struct QueryRecovery {
     size_t query_index = 0;  ///< index within the batch that failed
     uint32_t attempts = 1;   ///< total evaluation attempts, initial included
@@ -207,9 +203,6 @@ class EvalEngine {
   std::vector<QueryRecovery> ConsumeRecoveryRecords() {
     return std::move(recovery_records_);
   }
-
-  /// Human-readable name of a ladder position: "primary" or "reference".
-  static const char* RecoveryRungName(uint32_t rung);
 
   /// Returns (and clears) the first *unexpected* execution error since the
   /// last call. Expected failures stay out of this channel: query-shape

@@ -84,10 +84,6 @@ std::vector<std::string> SimpleAggregateQuery::ReferencedTables() const {
   return tables;
 }
 
-size_t SimpleAggregateQuery::Hash() const {
-  return std::hash<std::string>{}(CanonicalKey());
-}
-
 namespace {
 
 Result<std::pair<ColumnRef, Value>> ParseKeyPredicate(

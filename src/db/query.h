@@ -42,9 +42,9 @@ struct SimpleAggregateQuery {
 
   bool operator==(const SimpleAggregateQuery& other) const;
 
-  /// Canonical key: predicates sorted; used for hashing, caching, and
-  /// ground-truth comparison (two queries differing only in predicate order
-  /// are the same query).
+  /// Canonical key: predicates sorted; used for caching and ground-truth
+  /// comparison (two queries differing only in predicate order are the
+  /// same query).
   std::string CanonicalKey() const;
 
   /// Parses a CanonicalKey back into a query (used by the corpus
@@ -59,12 +59,6 @@ struct SimpleAggregateQuery {
 
   /// All table names referenced by the aggregate or any predicate.
   std::vector<std::string> ReferencedTables() const;
-
-  size_t Hash() const;
-};
-
-struct QueryHasher {
-  size_t operator()(const SimpleAggregateQuery& q) const { return q.Hash(); }
 };
 
 }  // namespace db

@@ -125,11 +125,6 @@ QueryInterner::Id QueryInterner::InternQuery(
   return id;
 }
 
-uint64_t QueryInterner::fingerprint(Id query_id) const {
-  const QueryRecord& rec = queries_[query_id];
-  return PackFingerprint(rec.fn, rec.agg_column, rec.predlist);
-}
-
 const SimpleAggregateQuery& QueryInterner::Materialize(Id query_id) {
   QueryRecord& rec = queries_[query_id];
   if (!rec.query.has_value()) {

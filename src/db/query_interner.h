@@ -71,12 +71,6 @@ class QueryInterner {
   /// materialization interned under a fingerprint is kept verbatim.
   Id InternQuery(const SimpleAggregateQuery& query);
 
-  /// The packed 64-bit fingerprint of a query id:
-  /// fn (8 bits) | aggregation column id (28 bits) | predicate list id
-  /// (28 bits). Distinct candidates never collide (distinct parts yield
-  /// distinct dense ids; the property test enumerates this).
-  uint64_t fingerprint(Id query_id) const;
-
   /// The materialized query (built lazily, cached; stable reference).
   const SimpleAggregateQuery& Materialize(Id query_id);
 

@@ -205,21 +205,5 @@ Status Table::AppendRows(std::vector<std::vector<Value>> rows) {
   return Status::OK();
 }
 
-Status Table::UpdateCell(size_t row, const std::string& column_name,
-                         Value v) {
-  if (row >= num_rows_) {
-    return Status::InvalidArgument(strings::Format(
-        "row %zu out of range (table has %zu rows)", row, num_rows_));
-  }
-  int idx = ColumnIndex(column_name);
-  if (idx < 0) return Status::NotFound("unknown column: " + column_name);
-  Column& column = *columns_[static_cast<size_t>(idx)];
-  auto cell = CoerceForIngest(std::move(v), column.type());
-  if (!cell.ok()) return cell.status();
-  column.Update(row, *std::move(cell));
-  ++data_version_;
-  return Status::OK();
-}
-
 }  // namespace db
 }  // namespace aggchecker

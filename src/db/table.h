@@ -37,9 +37,9 @@ class Table {
   size_t num_columns() const { return columns_.size(); }
 
   /// Monotonically increasing data version (starts at 1). Bumped only by
-  /// the post-build ingestion API (AppendRows / UpdateCell), never by the
-  /// initial staging path (AddRow) — a table under construction has no
-  /// observers, so caches key on the version a finished table exposes.
+  /// post-build ingestion (AppendRows), never by the initial staging path
+  /// (AddRow) — a table under construction has no observers, so caches key
+  /// on the version a finished table exposes.
   uint64_t version() const { return data_version_; }
 
   const Column& column(size_t i) const { return *columns_[i]; }
@@ -65,10 +65,6 @@ class Table {
   /// point fires before any mutation; chaos runs verify a faulted append
   /// leaves the version and every version-keyed cache untouched.
   Status AppendRows(std::vector<std::vector<Value>> rows);
-
-  /// Replaces one cell in place and bumps the data version. Same type rules
-  /// as AppendRows.
-  Status UpdateCell(size_t row, const std::string& column_name, Value v);
 
  private:
   std::string name_;

@@ -59,20 +59,6 @@ bool Value::operator==(const Value& other) const {
   return data_ == other.data_;
 }
 
-bool Value::operator<(const Value& other) const {
-  // NULL sorts first.
-  if (is_null()) return !other.is_null();
-  if (other.is_null()) return false;
-  if (is_numeric() && other.is_numeric()) {
-    return ToDouble() < other.ToDouble();
-  }
-  if (type() != other.type()) {
-    return static_cast<int>(type()) < static_cast<int>(other.type());
-  }
-  if (type() == ValueType::kString) return AsString() < other.AsString();
-  return false;
-}
-
 size_t Value::Hash() const {
   switch (type()) {
     case ValueType::kNull:

@@ -62,7 +62,6 @@ class Value {
 
   bool operator==(const Value& other) const;
   bool operator!=(const Value& other) const { return !(*this == other); }
-  bool operator<(const Value& other) const;
 
   size_t Hash() const;
 

@@ -19,8 +19,6 @@ enum class FragmentType {
 
 constexpr int kNumFragmentTypes = 3;
 
-const char* FragmentTypeName(FragmentType type);
-
 /// \brief A query fragment: an aggregation function, an aggregation column
 /// (including the "*" all-column), or a unary equality predicate.
 ///
@@ -36,13 +34,6 @@ struct QueryFragment {
   bool is_star_column() const {
     return type == FragmentType::kAggColumn && column.column.empty();
   }
-
-  /// Short display form: "Count", "nflsuspensions.Games",
-  /// "Games = 'indef'".
-  std::string Describe() const;
-
-  /// Stable identity key used for prior bookkeeping and tests.
-  std::string Key() const;
 };
 
 }  // namespace fragments

@@ -105,16 +105,5 @@ std::vector<ScoredDoc> InvertedIndex::Search(
   return hits;
 }
 
-double InvertedIndex::Score(const std::vector<TermWeight>& query,
-                            int doc_id) const {
-  ScoreScratch& scratch = TlsScratch();
-  scratch.Begin(doc_norms_.size());
-  Accumulate(query, &scratch);
-  if (doc_id < 0 || static_cast<size_t>(doc_id) >= scratch.stamp.size()) {
-    return 0.0;
-  }
-  return scratch.At(doc_id);
-}
-
 }  // namespace ir
 }  // namespace aggchecker

@@ -50,9 +50,6 @@ class InvertedIndex {
   std::vector<ScoredDoc> Search(const std::vector<TermWeight>& query,
                                 size_t top_k) const;
 
-  /// Relevance score of a specific document for a query (0 if no overlap).
-  double Score(const std::vector<TermWeight>& query, int doc_id) const;
-
   size_t num_documents() const { return doc_norms_.size(); }
 
   /// Snapshot hooks (DESIGN.md §15). Scores depend only on the posting

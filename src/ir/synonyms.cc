@@ -23,11 +23,6 @@ const std::vector<std::string>& SynonymDictionary::Lookup(
   return it == map_.end() ? empty_ : it->second;
 }
 
-const SynonymDictionary& SynonymDictionary::Empty() {
-  static const SynonymDictionary* kEmpty = new SynonymDictionary();
-  return *kEmpty;
-}
-
 const SynonymDictionary& SynonymDictionary::Default() {
   static const SynonymDictionary* kDefault = [] {
     auto* d = new SynonymDictionary();

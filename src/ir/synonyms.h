@@ -19,9 +19,6 @@ class SynonymDictionary {
   /// The built-in dictionary (shared, immutable).
   static const SynonymDictionary& Default();
 
-  /// An empty dictionary (used by ablations that disable synonyms).
-  static const SynonymDictionary& Empty();
-
   SynonymDictionary() = default;
 
   /// Registers a symmetric synonym group.
@@ -29,8 +26,6 @@ class SynonymDictionary {
 
   /// Synonyms of `word` (excluding the word itself); empty if unknown.
   const std::vector<std::string>& Lookup(const std::string& word) const;
-
-  size_t num_words() const { return map_.size(); }
 
  private:
   std::unordered_map<std::string, std::vector<std::string>> map_;

@@ -22,14 +22,13 @@ class WordSplitter {
 
   WordSplitter() = default;
 
-  void AddWord(const std::string& word);
-
   /// Splits an identifier into lower-cased word parts.
   std::vector<std::string> Split(const std::string& identifier) const;
 
+ private:
+  void AddWord(const std::string& word);
   bool Contains(const std::string& word) const;
 
- private:
   /// Dictionary segmentation of a single lower-case run; returns {run} if no
   /// full segmentation into dictionary words exists.
   std::vector<std::string> SegmentRun(const std::string& run) const;

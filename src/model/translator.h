@@ -45,7 +45,6 @@ struct ClaimRecovery {
   bool recovered = false;     ///< entered recovery and every query healed
   bool quarantined = false;   ///< some query failed on every rung; the
                               ///< claim degrades to a partial verdict
-  bool engaged() const { return attempts > 0; }
 };
 
 /// \brief Output of the expectation-maximization translation.
@@ -146,8 +145,6 @@ class Translator {
       db::EvalEngine* engine,
       const std::vector<std::optional<db::SimpleAggregateQuery>>* pinned =
           nullptr) const;
-
-  const ModelOptions& options() const { return options_; }
 
  private:
   const db::Database* db_;

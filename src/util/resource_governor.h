@@ -213,8 +213,6 @@ class ResourceGovernor {
     return tripped_.load(std::memory_order_acquire);
   }
 
-  const GovernorLimits& limits() const { return limits_; }
-
   GovernorUsage usage() const {
     GovernorUsage u;
     u.rows_charged = rows_.load(std::memory_order_relaxed);

@@ -58,54 +58,6 @@ int SignificantDigitsOf(double value) {
   return count > 0 ? count : 1;
 }
 
-std::optional<int> SignificantDigitsOfLiteral(const std::string& text) {
-  // Accept forms like "-13.60", "1,200", "42".
-  std::string digits_only;
-  bool in_fraction = false;
-  bool seen_digit = false;
-  for (size_t i = 0; i < text.size(); ++i) {
-    char c = text[i];
-    if (c == ',' ) continue;
-    if (c == '-' || c == '+') {
-      if (i != 0) return std::nullopt;
-      continue;
-    }
-    if (c == '.') {
-      if (in_fraction) return std::nullopt;
-      in_fraction = true;
-      digits_only.push_back('.');
-      continue;
-    }
-    if (!std::isdigit(static_cast<unsigned char>(c))) return std::nullopt;
-    seen_digit = true;
-    digits_only.push_back(c);
-  }
-  if (!seen_digit) return std::nullopt;
-
-  int count = 0;
-  bool seen_nonzero = false;
-  int trailing_zeros_int = 0;
-  bool fraction = false;
-  for (char c : digits_only) {
-    if (c == '.') {
-      fraction = true;
-      continue;
-    }
-    if (c == '0') {
-      if (!seen_nonzero && !fraction) continue;
-      if (!seen_nonzero && fraction) continue;  // 0.00x leading zeros
-      ++count;
-      if (!fraction) ++trailing_zeros_int;
-    } else {
-      seen_nonzero = true;
-      ++count;
-      if (!fraction) trailing_zeros_int = 0;
-    }
-  }
-  if (!fraction) count -= trailing_zeros_int;
-  return count > 0 ? count : 1;
-}
-
 bool Matches(double query_result, double claimed, RoundingMode mode,
              double tolerance) {
   if (!std::isfinite(query_result) || !std::isfinite(claimed)) return false;

@@ -1,8 +1,5 @@
 #pragma once
 
-#include <optional>
-#include <string>
-
 namespace aggchecker {
 namespace rounding {
 
@@ -47,13 +44,6 @@ enum class RoundingMode {
 /// `tolerance` only applies to kRelativeTolerance (e.g. 0.05 = 5%).
 bool Matches(double query_result, double claimed, RoundingMode mode,
              double tolerance = 0.05);
-
-/// \brief Significant digits of a textual numeric literal.
-///
-/// Unlike SignificantDigitsOf(double), this preserves trailing fractional
-/// zeros ("13.60" has 4 significant digits). Returns std::nullopt if `text`
-/// is not a plain numeric literal.
-std::optional<int> SignificantDigitsOfLiteral(const std::string& text);
 
 }  // namespace rounding
 }  // namespace aggchecker

@@ -15,13 +15,6 @@ std::string ToLower(std::string_view s) {
   return out;
 }
 
-std::string ToUpper(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(),
-                 [](unsigned char c) { return std::toupper(c); });
-  return out;
-}
-
 std::string Trim(std::string_view s) {
   size_t begin = 0;
   size_t end = s.size();
@@ -65,15 +58,6 @@ std::vector<std::string> SplitWhitespace(std::string_view s) {
   return parts;
 }
 
-std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
@@ -106,25 +90,6 @@ std::string ReplaceAll(std::string_view s, std::string_view from,
     start = pos + from.size();
   }
   return out;
-}
-
-size_t EditDistance(std::string_view a, std::string_view b) {
-  const size_t n = a.size();
-  const size_t m = b.size();
-  if (n == 0) return m;
-  if (m == 0) return n;
-  std::vector<size_t> prev(m + 1);
-  std::vector<size_t> cur(m + 1);
-  for (size_t j = 0; j <= m; ++j) prev[j] = j;
-  for (size_t i = 1; i <= n; ++i) {
-    cur[0] = i;
-    for (size_t j = 1; j <= m; ++j) {
-      size_t cost = (a[i - 1] == b[j - 1]) ? 0 : 1;
-      cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost});
-    }
-    std::swap(prev, cur);
-  }
-  return prev[m];
 }
 
 std::string Format(const char* fmt, ...) {

@@ -15,9 +15,6 @@ namespace strings {
 /// Returns a lower-cased copy of `s`.
 std::string ToLower(std::string_view s);
 
-/// Returns an upper-cased copy of `s`.
-std::string ToUpper(std::string_view s);
-
 /// Strips leading and trailing whitespace.
 std::string Trim(std::string_view s);
 
@@ -26,9 +23,6 @@ std::vector<std::string> Split(std::string_view s, char sep);
 
 /// Splits `s` on any whitespace run. Drops empty pieces.
 std::vector<std::string> SplitWhitespace(std::string_view s);
-
-/// Joins `parts` with `sep` between elements.
-std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 
 bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);
@@ -39,10 +33,6 @@ bool IsDigits(std::string_view s);
 /// Replaces every occurrence of `from` in `s` by `to`.
 std::string ReplaceAll(std::string_view s, std::string_view from,
                        std::string_view to);
-
-/// Levenshtein edit distance; used by the NaLIR-style baseline to compare
-/// parse trees and by word-splitting heuristics.
-size_t EditDistance(std::string_view a, std::string_view b);
 
 /// printf-style formatting into a std::string.
 std::string Format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

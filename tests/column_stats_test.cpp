@@ -81,24 +81,6 @@ TEST(ColumnStatsTest, AppendInvalidatesStats) {
   EXPECT_EQ(after.distinct, 2u);
 }
 
-TEST(ColumnStatsTest, UpdateInvalidatesStats) {
-  Column col("v", ValueType::kLong);
-  col.Append(Value(int64_t{5}));
-  col.Append(Value(int64_t{7}));
-  EXPECT_EQ(col.Stats().distinct, 2u);
-
-  col.Update(1, Value(int64_t{5}));
-  ColumnStats s = col.Stats();
-  EXPECT_EQ(s.non_null, 2u);
-  EXPECT_EQ(s.distinct, 1u);
-
-  col.Update(0, Value());
-  s = col.Stats();
-  EXPECT_EQ(s.rows, 2u);
-  EXPECT_EQ(s.non_null, 1u);
-  EXPECT_EQ(s.distinct, 1u);
-}
-
 // First Stats() call from many threads at once: the lazy dictionary build
 // behind `distinct` runs once and every reader sees the same counts
 // (TSan-guarded via the concurrency label).

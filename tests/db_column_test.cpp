@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -88,6 +89,79 @@ TEST(ColumnFlatViewTest, AppendInvalidatesFlatViewAndDictionary) {
   EXPECT_EQ(col.Flat().longs[1], 2);
   EXPECT_EQ(col.Codes().size(), 2u);
   EXPECT_EQ(col.DistinctValues().size(), 2u);
+}
+
+// Equal cells, NaN matching NaN (Value's operator== follows IEEE).
+bool SameCell(const Value& a, const Value& b) {
+  if (a.type() == ValueType::kDouble && b.type() == ValueType::kDouble &&
+      std::isnan(a.AsDoubleExact()) && std::isnan(b.AsDoubleExact())) {
+    return true;
+  }
+  return a == b;
+}
+
+// Ingestion is append-only (DESIGN.md §16): appending new values, repeats,
+// NULLs and NaN cells never changes an existing row's code or the order of
+// the distinct values already seen. New values take codes from the old
+// distinct count upward, in appearance order, and each NaN cell takes a
+// code of its own. Built and snapshot-loaded columns behave alike.
+TEST(ColumnAppendTest, AppendsNeverChangeExistingCodes) {
+  const double nan = std::nan("");
+  Column source("v", ValueType::kDouble);
+  for (const Value& v :
+       {Value(1.5), Value(), Value(nan), Value(2.0), Value(1.5)}) {
+    source.Append(v);
+  }
+  std::vector<uint8_t> tags;
+  for (const Value& v : source.values()) {
+    tags.push_back(static_cast<uint8_t>(v.type()));
+  }
+  ColumnSnapshotData data;
+  data.rows = source.size();
+  data.null_count = source.null_count();
+  data.nulls = source.Flat().nulls;
+  data.tags = tags.data();
+  data.doubles = source.Flat().doubles;
+  data.codes = source.Codes().data();
+  data.distinct = source.DistinctValues();
+
+  std::vector<std::unique_ptr<Column>> columns;
+  columns.push_back(std::make_unique<Column>("v", ValueType::kDouble));
+  for (const Value& v : source.values()) columns[0]->Append(v);
+  columns.push_back(
+      Column::FromSnapshot("v", ValueType::kDouble, std::move(data)));
+
+  for (size_t k = 0; k < columns.size(); ++k) {
+    SCOPED_TRACE(k == 0 ? "built column" : "snapshot column");
+    Column& col = *columns[k];
+    const std::vector<int32_t> old_codes = col.Codes();
+    const std::vector<Value> old_distinct = col.DistinctValues();
+    ASSERT_EQ(old_codes, (std::vector<int32_t>{0, -1, 1, 2, 0}));
+    const int32_t n = static_cast<int32_t>(old_distinct.size());
+
+    for (const Value& v : {Value(3.0), Value(1.5), Value(), Value(nan),
+                           Value(2.0), Value(nan), Value(4.0), Value(3.0)}) {
+      col.Append(v);
+    }
+    const std::vector<int32_t>& codes = col.Codes();
+    ASSERT_EQ(codes.size(), old_codes.size() + 8);
+    for (size_t r = 0; r < old_codes.size(); ++r) {
+      EXPECT_EQ(codes[r], old_codes[r]) << "row " << r;
+    }
+    EXPECT_EQ(std::vector<int32_t>(codes.begin() + old_codes.size(),
+                                   codes.end()),
+              (std::vector<int32_t>{n, 0, -1, n + 1, 2, n + 2, n + 3, n}));
+
+    const std::vector<Value>& distinct = col.DistinctValues();
+    ASSERT_EQ(distinct.size(), old_distinct.size() + 4);
+    for (size_t i = 0; i < old_distinct.size(); ++i) {
+      EXPECT_TRUE(SameCell(distinct[i], old_distinct[i])) << "distinct " << i;
+    }
+    EXPECT_TRUE(SameCell(distinct[n], Value(3.0)));
+    EXPECT_TRUE(SameCell(distinct[n + 1], Value(nan)));
+    EXPECT_TRUE(SameCell(distinct[n + 2], Value(nan)));
+    EXPECT_TRUE(SameCell(distinct[n + 3], Value(4.0)));
+  }
 }
 
 // Regression (tsan): many threads hitting the *first* lazy dictionary

@@ -125,22 +125,6 @@ TEST_F(CubeTest, CubeOverJoin) {
   EXPECT_DOUBLE_EQ((*cube)->Lookup({kAllBucket}, 0).value(), 25.0);
 }
 
-TEST_F(CubeTest, AggregateIndexLookup) {
-  CubeAggregate count_star;
-  CubeAggregate max_amount;
-  max_amount.fn = AggFn::kMax;
-  max_amount.column = {"orders", "amount"};
-  auto shop = MakeOrdersDatabase();
-  auto cube = ExecuteCube(shop, {}, {}, {count_star, max_amount});
-  ASSERT_TRUE(cube.ok());
-  EXPECT_EQ((*cube)->AggregateIndex(count_star), 0);
-  EXPECT_EQ((*cube)->AggregateIndex(max_amount), 1);
-  CubeAggregate other;
-  other.fn = AggFn::kMin;
-  other.column = {"orders", "amount"};
-  EXPECT_EQ((*cube)->AggregateIndex(other), -1);
-}
-
 }  // namespace
 }  // namespace db
 }  // namespace aggchecker

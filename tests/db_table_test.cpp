@@ -104,7 +104,7 @@ TEST(ColumnTest, DictionaryInvalidatedByAppend) {
 }
 
 // Version semantics (DESIGN.md §16): the counter starts at 1, the staging
-// path (AddRow) never bumps it, and each post-build mutation bumps it by
+// path (AddRow) never bumps it, and each post-build append bumps it by
 // exactly one.
 TEST(TableVersionTest, IngestionBumpsVersionStagingDoesNot) {
   Table t("t");
@@ -116,10 +116,6 @@ TEST(TableVersionTest, IngestionBumpsVersionStagingDoesNot) {
   ASSERT_TRUE(t.AppendRows({{Value(int64_t{2})}, {Value(int64_t{3})}}).ok());
   EXPECT_EQ(t.version(), 2u);
   EXPECT_EQ(t.num_rows(), 3u);
-
-  ASSERT_TRUE(t.UpdateCell(0, "x", Value(int64_t{9})).ok());
-  EXPECT_EQ(t.version(), 3u);
-  EXPECT_EQ(t.column(0).at(0).AsLong(), 9);
 }
 
 // A rejected batch is atomic: whole-batch validation runs before any
@@ -142,11 +138,6 @@ TEST(TableVersionTest, RejectedAppendLeavesTableUntouched) {
   s = t.AppendRows({{Value(std::string("nope")), Value(std::string("b"))}});
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(t.num_rows(), 1u);
-  EXPECT_EQ(t.version(), 1u);
-
-  // Out-of-range / unknown-column updates are also version-neutral.
-  EXPECT_FALSE(t.UpdateCell(5, "x", Value(int64_t{0})).ok());
-  EXPECT_FALSE(t.UpdateCell(0, "nope", Value(int64_t{0})).ok());
   EXPECT_EQ(t.version(), 1u);
 }
 

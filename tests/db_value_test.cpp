@@ -33,13 +33,6 @@ TEST(ValueTest, NullComparesOnlyToNull) {
   EXPECT_NE(Value::Null(), Value(std::string("")));
 }
 
-TEST(ValueTest, OrderingNullFirst) {
-  EXPECT_TRUE(Value::Null() < Value(int64_t{-100}));
-  EXPECT_FALSE(Value(int64_t{1}) < Value::Null());
-  EXPECT_TRUE(Value(int64_t{1}) < Value(2.5));
-  EXPECT_TRUE(Value(std::string("a")) < Value(std::string("b")));
-}
-
 TEST(ValueTest, ToStringRendering) {
   EXPECT_EQ(Value::Null().ToString(), "NULL");
   EXPECT_EQ(Value(int64_t{7}).ToString(), "7");

@@ -8,6 +8,7 @@
 #include "core/aggchecker.h"
 #include "db/executor.h"
 #include "util/rounding.h"
+#include "util/strings.h"
 
 namespace aggchecker {
 namespace corpus {
@@ -28,6 +29,53 @@ FleetSpec SmallSpec() {
   spec.dim_cardinality = 8;
   spec.error_rate = 0.25;
   return spec;
+}
+
+/// Canonical byte rendering of everything the generator promises to be
+/// deterministic: dataset schemas and cell values, article text, and
+/// per-claim ground truth (exact hexfloat values). Two corpora from the
+/// same spec must produce equal fingerprints; different seeds must not.
+std::string FleetCorpusFingerprint(const FleetCorpus& corpus) {
+  std::string out;
+  auto bits = [](double v) { return strings::Format("%a", v); };
+  for (size_t d = 0; d < corpus.datasets.size(); ++d) {
+    const db::Database& db = *corpus.datasets[d];
+    out += strings::Format("dataset %zu %s\n", d, db.name().c_str());
+    for (size_t t = 0; t < db.num_tables(); ++t) {
+      const db::Table& table = db.table(t);
+      out += strings::Format("table %s rows=%zu\n", table.name().c_str(),
+                             table.num_rows());
+      for (size_t c = 0; c < table.num_columns(); ++c) {
+        const db::Column& column = table.column(c);
+        out += strings::Format("column %s type=%d\n", column.name().c_str(),
+                               static_cast<int>(column.type()));
+        for (const db::Value& v : column.values()) {
+          out += v.ToString();
+          out += '|';
+        }
+        out += '\n';
+      }
+    }
+  }
+  for (const FleetArticle& article : corpus.articles) {
+    out += strings::Format("article %s dataset=%zu title=%s\n",
+                           article.name.c_str(), article.dataset,
+                           article.document.title().c_str());
+    for (const auto& section : article.document.sections()) {
+      out += strings::Format("section %s\n", section.headline.c_str());
+    }
+    for (const auto& sentence : article.document.sentences()) {
+      out += sentence.text;
+      out += '\n';
+    }
+    for (const GroundTruthClaim& g : article.ground_truth) {
+      out += strings::Format(
+          "claim %s claimed=%s true=%s err=%d\n",
+          g.query.CanonicalKey().c_str(), bits(g.claimed_value).c_str(),
+          bits(g.true_value).c_str(), g.is_erroneous ? 1 : 0);
+    }
+  }
+  return out;
 }
 
 TEST(FleetGeneratorTest, SameSpecIsByteIdentical) {

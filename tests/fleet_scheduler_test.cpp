@@ -308,8 +308,9 @@ TEST(FleetSchedulerTest, HarnessScoresFleetAgainstGroundTruth) {
 
   FleetOptions options;
   options.num_threads = 2;
-  corpus::FleetHarnessResult result = corpus::RunOnFleet(fleet, options);
-  EXPECT_EQ(result.run.documents_failed, 0u);
+  FleetRunResult run = RunFleet(corpus::FleetDocuments(fleet), options);
+  corpus::FleetScore result = corpus::ScoreFleet(fleet, run);
+  EXPECT_EQ(run.documents_failed, 0u);
   EXPECT_EQ(result.documents_misaligned, 0u);
   EXPECT_EQ(result.detection.total_claims, fleet.TotalClaims());
   // The generator's claims are sharply detectable by construction: perfect

@@ -11,31 +11,6 @@ namespace {
 using testing_fixtures::MakeNflDatabase;
 using testing_fixtures::MakeOrdersDatabase;
 
-TEST(FragmentTest, DescribeAndKey) {
-  QueryFragment fn;
-  fn.type = FragmentType::kAggFunction;
-  fn.fn = db::AggFn::kAvg;
-  EXPECT_EQ(fn.Describe(), "Average");
-  EXPECT_EQ(fn.Key(), "f:Average");
-
-  QueryFragment col;
-  col.type = FragmentType::kAggColumn;
-  col.column = {"t", "salary"};
-  EXPECT_EQ(col.Describe(), "t.salary");
-
-  QueryFragment star;
-  star.type = FragmentType::kAggColumn;
-  star.column = {"t", ""};
-  EXPECT_TRUE(star.is_star_column());
-  EXPECT_EQ(star.Describe(), "t.*");
-
-  QueryFragment pred;
-  pred.type = FragmentType::kPredicate;
-  pred.column = {"t", "Games"};
-  pred.value = db::Value(std::string("indef"));
-  EXPECT_EQ(pred.Describe(), "Games = 'indef'");
-}
-
 TEST(CatalogTest, BuildsAllFragmentTypes) {
   auto database = MakeNflDatabase();
   auto catalog = FragmentCatalog::Build(database);

@@ -39,7 +39,9 @@ TEST(InteractiveSessionTest, StartRunsAutomatedPass) {
   auto session = InteractiveSession::Start(f.checker, &f.test_case.document);
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   EXPECT_EQ(session->num_claims(), f.test_case.ground_truth.size());
-  EXPECT_EQ(session->NumPinned(), 0u);
+  for (size_t i = 0; i < session->num_claims(); ++i) {
+    EXPECT_FALSE(session->IsPinned(i));
+  }
   EXPECT_FALSE(session->report().verdicts.empty());
 }
 
@@ -92,7 +94,9 @@ TEST(InteractiveSessionTest, SelectCandidatePinsPointMass) {
   ASSERT_TRUE(session.ok());
   ASSERT_TRUE(session->SelectCandidate(0, 1).ok());
   EXPECT_TRUE(session->IsPinned(0));
-  EXPECT_EQ(session->NumPinned(), 1u);
+  for (size_t i = 1; i < session->num_claims(); ++i) {
+    EXPECT_FALSE(session->IsPinned(i));
+  }
   ASSERT_TRUE(session->Refresh().ok());
   const auto& verdict = session->report().verdicts[0];
   ASSERT_EQ(verdict.top_queries.size(), 1u);

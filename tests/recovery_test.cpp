@@ -60,7 +60,7 @@ TEST(RecoveryTest, LadderHealsVectorizedCubeFault) {
   ASSERT_EQ(records.size(), queries.size());
   for (const auto& rec : records) {
     EXPECT_TRUE(rec.recovered);
-    EXPECT_EQ(rec.rung, 1u) << db::EvalEngine::RecoveryRungName(rec.rung);
+    EXPECT_EQ(rec.rung, 1u);
     EXPECT_GT(rec.attempts, 1u);
   }
   // Configuration restored: the next batch runs the primary path again.
@@ -124,8 +124,7 @@ TEST(RecoveryTest, LadderReachesFreshJoinRung) {
   EXPECT_EQ(engine.stats().queries_recovered, 1u);
   for (const auto& rec : engine.ConsumeRecoveryRecords()) {
     EXPECT_TRUE(rec.recovered);
-    EXPECT_EQ(rec.rung, 1u) << db::EvalEngine::RecoveryRungName(rec.rung);
-    EXPECT_STREQ(db::EvalEngine::RecoveryRungName(rec.rung), "reference");
+    EXPECT_EQ(rec.rung, 1u);
   }
   EXPECT_EQ(engine.stats().ladder_descents, 1u);
   EXPECT_NE(engine.relation_cache(), nullptr) << "configuration restored";

@@ -10,7 +10,6 @@ namespace {
 using rounding::RoundsTo;
 using rounding::RoundToSignificant;
 using rounding::SignificantDigitsOf;
-using rounding::SignificantDigitsOfLiteral;
 
 TEST(RoundingTest, RoundToSignificantBasics) {
   EXPECT_DOUBLE_EQ(RoundToSignificant(0.1337, 2), 0.13);
@@ -28,16 +27,6 @@ TEST(RoundingTest, SignificantDigitsOfDouble) {
   EXPECT_EQ(SignificantDigitsOf(1300.0), 2);  // trailing zeros placeholders
   EXPECT_EQ(SignificantDigitsOf(0.005), 1);
   EXPECT_EQ(SignificantDigitsOf(0.0), 1);
-}
-
-TEST(RoundingTest, SignificantDigitsOfLiteral) {
-  EXPECT_EQ(SignificantDigitsOfLiteral("13.60"), 4);
-  EXPECT_EQ(SignificantDigitsOfLiteral("1,200"), 2);
-  EXPECT_EQ(SignificantDigitsOfLiteral("42"), 2);
-  EXPECT_EQ(SignificantDigitsOfLiteral("-7"), 1);
-  EXPECT_FALSE(SignificantDigitsOfLiteral("abc").has_value());
-  EXPECT_FALSE(SignificantDigitsOfLiteral("1.2.3").has_value());
-  EXPECT_FALSE(SignificantDigitsOfLiteral("").has_value());
 }
 
 // The paper's erroneous-claim table (Table 9): 14 claimed as 13 is wrong,
