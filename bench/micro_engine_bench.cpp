@@ -7,11 +7,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cinttypes>
+
 #include "corpus/generator.h"
 #include "db/eval_engine.h"
 #include "db/joined_relation.h"
 #include "db/query_interner.h"
 #include "util/resource_governor.h"
+#include "util/strings.h"
 #include "util/thread_pool.h"
 
 namespace aggchecker {
@@ -182,8 +185,8 @@ const db::Database& PlanBenchDatabase() {
     (void)table.AddColumn("a", db::ValueType::kString);
     (void)table.AddColumn("b", db::ValueType::kString);
     for (size_t r = 0; r < 1000; ++r) {
-      (void)table.AddRow({db::Value("a" + std::to_string(r % 250)),
-                          db::Value("b" + std::to_string(r % 200))});
+      (void)table.AddRow({db::Value(strings::Format("a%zu", r % 250)),
+                          db::Value(strings::Format("b%zu", r % 200))});
     }
     (void)db->AddTable(std::move(table));
     return db;
@@ -202,8 +205,9 @@ std::vector<db::SimpleAggregateQuery> MakePlanBatch(int64_t n) {
     q.fn = db::AggFn::kCount;
     q.agg_column = {"plan", ""};
     q.predicates = {
-        {{"plan", "a"}, db::Value("a" + std::to_string((i / 200) % 250))},
-        {{"plan", "b"}, db::Value("b" + std::to_string(i % 200))}};
+        {{"plan", "a"},
+         db::Value(strings::Format("a%" PRId64, (i / 200) % 250))},
+        {{"plan", "b"}, db::Value(strings::Format("b%" PRId64, i % 200))}};
     batch.push_back(std::move(q));
   }
   return batch;
@@ -269,8 +273,7 @@ const db::Database& CubeKernelDatabase() {
     auto* db = new db::Database("cube-kernel-bench");
     db::Table fact("fact");
     for (int d = 0; d < 4; ++d) {
-      (void)fact.AddColumn("d" + std::to_string(d),
-                           db::ValueType::kString);
+      (void)fact.AddColumn(strings::Format("d%d", d), db::ValueType::kString);
     }
     (void)fact.AddColumn("m_long", db::ValueType::kLong);
     (void)fact.AddColumn("m_double", db::ValueType::kDouble);
@@ -283,7 +286,7 @@ const db::Database& CubeKernelDatabase() {
         if (v == 10) {
           row.emplace_back();
         } else {
-          row.emplace_back("v" + std::to_string(v % 5));
+          row.emplace_back(strings::Format("v%zu", v % 5));
         }
       }
       if (r % 13 == 7) {
@@ -318,7 +321,7 @@ CubeKernelWorkload MakeKernelWorkload(int64_t fn_index, int64_t num_dims) {
   CubeKernelWorkload workload;
   for (int64_t d = 0; d < num_dims; ++d) {
     const db::Column& col =
-        *fact.FindColumn("d" + std::to_string(d));
+        *fact.FindColumn(strings::Format("d%" PRId64, d));
     workload.dims.push_back({"fact", col.name()});
     workload.literals.push_back(col.DistinctValues());
   }

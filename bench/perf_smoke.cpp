@@ -32,6 +32,7 @@
 #include "db/database.h"
 #include "db/eval_engine.h"
 #include "db/relation_cache.h"
+#include "util/strings.h"
 #include "util/thread_pool.h"
 
 namespace aggchecker {
@@ -55,7 +56,7 @@ db::Database MakeDatabase() {
       if (v == 10) {
         row.emplace_back();
       } else {
-        row.emplace_back("v" + std::to_string(v % 5));
+        row.emplace_back(strings::Format("v%zu", v % 5));
       }
     }
     if (r % 13 == 7) {
@@ -174,7 +175,7 @@ db::Database MakeJoinDatabase() {
     (void)dim.AddColumn("label", db::ValueType::kString);
     for (size_t i = 0; i < kDimRows; ++i) {
       (void)dim.AddRow({db::Value(static_cast<int64_t>(i)),
-                        db::Value("l" + std::to_string(i % 8))});
+                        db::Value(strings::Format("l%zu", i % 8))});
     }
     (void)database.AddTable(std::move(dim));
   }
@@ -186,7 +187,7 @@ db::Database MakeJoinDatabase() {
     for (size_t r = 0; r < kRows; ++r) {
       (void)fact.AddRow(
           {db::Value(static_cast<int64_t>((r * 2654435761u) % kDimRows)),
-           db::Value("v" + std::to_string(r % 5)),
+           db::Value(strings::Format("v%zu", r % 5)),
            db::Value(0.25 * static_cast<double>(r % 997) - 100.0)});
     }
     (void)database.AddTable(std::move(fact));
@@ -204,9 +205,9 @@ std::vector<db::SimpleAggregateQuery> MakeJoinBatch() {
       q.fn = db::AggFn::kCount;
       q.agg_column = {"fact", ""};
       q.predicates.push_back(
-          {{"dim", "label"}, db::Value("l" + std::to_string(l))});
+          {{"dim", "label"}, db::Value(strings::Format("l%d", l))});
       q.predicates.push_back(
-          {{"fact", "d0"}, db::Value("v" + std::to_string(v))});
+          {{"fact", "d0"}, db::Value(strings::Format("v%d", v))});
       batch.push_back(q);
       q.fn = db::AggFn::kSum;
       q.agg_column = {"fact", "m"};

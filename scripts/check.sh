@@ -8,7 +8,9 @@
 # the repository root:
 #
 #   scripts/check.sh              # all presets + perf smoke
-#   scripts/check.sh default      # just the Release preset
+#   scripts/check.sh default      # just the Release preset (a clean
+#                                 # build that fails on any compiler
+#                                 # warning)
 #   scripts/check.sh asan-ubsan   # just the sanitizer preset
 #   scripts/check.sh tsan         # just the TSan concurrency subset
 #   scripts/check.sh perf-smoke   # just the perf regression gates
@@ -210,7 +212,20 @@ for preset in "${presets[@]}"; do
   echo "==> [$preset] configure"
   cmake --preset "$preset"
   echo "==> [$preset] build"
-  cmake --build --preset "$preset" -j "$jobs"
+  if [[ "$preset" == "default" ]]; then
+    # Clean, so that every file compiles and prints its warnings; the
+    # Release build must print none.
+    log=build/check-build.log
+    cmake --build --preset "$preset" -j "$jobs" --clean-first 2>&1 \
+      | tee "$log"
+    if grep -q 'warning:' "$log"; then
+      echo "error: the Release build printed compiler warnings:" >&2
+      grep 'warning:' "$log" >&2
+      exit 1
+    fi
+  else
+    cmake --build --preset "$preset" -j "$jobs"
+  fi
   echo "==> [$preset] test"
   ctest --preset "$preset" -j "$jobs"
 done

@@ -49,6 +49,11 @@ std::string WriteHtmlReport(const text::TextDocument& doc,
   if (!doc.title().empty()) out += ": " + EscapeHtml(doc.title());
   out += "</title>\n<style>" + std::string(kCss) + "</style></head>\n<body>\n";
 
+  std::string note;
+  if (!title_note.empty()) {
+    note = " ";
+    note += EscapeHtml(title_note);
+  }
   out += strings::Format(
       "<p class=\"summary\">AggChecker checked %zu claim%s, flagged %zu as "
       "likely erroneous. %d EM iteration%s, %zu candidate queries "
@@ -56,8 +61,7 @@ std::string WriteHtmlReport(const text::TextDocument& doc,
       report.verdicts.size(), report.verdicts.size() == 1 ? "" : "s",
       report.NumFlagged(), report.em_iterations,
       report.em_iterations == 1 ? "" : "s", report.queries_evaluated,
-      report.total_seconds,
-      title_note.empty() ? "" : (" " + EscapeHtml(title_note)).c_str());
+      report.total_seconds, note.c_str());
 
   // The marked-up article. RenderMarkup emits markdown-ish headings with
   // HTML spans around claims; convert the heading lines.

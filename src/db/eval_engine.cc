@@ -24,23 +24,6 @@ const char* EvalStrategyName(EvalStrategy s) {
   return "?";
 }
 
-EvalEngine::NormalizedPreds EvalEngine::Normalize(
-    const std::vector<Predicate>& preds) {
-  NormalizedPreds np;
-  for (const Predicate& p : preds) {
-    bool duplicate = false;
-    for (const Predicate& q : np.preds) {
-      if (q.column == p.column) {
-        duplicate = true;
-        if (!(q.value == p.value)) np.unsatisfiable = true;
-        break;
-      }
-    }
-    if (!duplicate) np.preds.push_back(p);
-  }
-  return np;
-}
-
 std::string EvalEngine::DimSetKey(const std::vector<ColumnRef>& dims) {
   std::string key;
   for (const ColumnRef& d : dims) {
@@ -403,9 +386,9 @@ void EvalEngine::RecoverBatch(const std::vector<QueryInterner::Id>& ids,
   }
 }
 
-std::optional<double> EvalEngine::AnswerFromCube(
-    const SimpleAggregateQuery& query, const NormalizedPreds& np,
-    const CubeResult& cube, size_t agg_idx) const {
+std::optional<double> EvalEngine::AnswerFromCube(const CompiledQuery& cq,
+                                                 const CubeResult& cube,
+                                                 size_t agg_idx) const {
   const auto& dims = cube.dims();
   const size_t nd = dims.size();
   // Map each cube dimension to the predicate value (if any). Bucket codes
@@ -415,20 +398,23 @@ std::optional<double> EvalEngine::AnswerFromCube(
   key.fill(kAllBucket);
   std::array<int, CubeResult::kMaxDims> pred_dim;
   pred_dim.fill(-1);
-  for (size_t p = 0; p < np.preds.size(); ++p) {
+  for (size_t p = 0; p < cq.preds.size(); ++p) {
+    const QueryInterner::PredicateParts& pred =
+        interner_.predicate(cq.preds[p]);
+    const ColumnRef& column = interner_.column(pred.column);
     for (size_t d = 0; d < nd; ++d) {
-      if (dims[d] == np.preds[p].column) {
+      if (dims[d] == column) {
         if (p < pred_dim.size()) pred_dim[p] = static_cast<int>(d);
-        key[d] = cube.BucketOf(d, np.preds[p].value);
+        key[d] = cube.BucketOf(d, interner_.value(pred.value));
         break;
       }
     }
   }
 
-  const bool is_count_like = query.fn == AggFn::kCount ||
-                             query.fn == AggFn::kCountDistinct ||
-                             query.fn == AggFn::kPercentage ||
-                             query.fn == AggFn::kConditionalProbability;
+  const bool is_count_like = cq.fn == AggFn::kCount ||
+                             cq.fn == AggFn::kCountDistinct ||
+                             cq.fn == AggFn::kPercentage ||
+                             cq.fn == AggFn::kConditionalProbability;
 
   auto lookup_count = [&](const int16_t* k) -> double {
     std::optional<double> v =
@@ -436,12 +422,14 @@ std::optional<double> EvalEngine::AnswerFromCube(
     return v.value_or(0.0);  // absent group = zero matching rows
   };
 
-  if (query.fn == AggFn::kPercentage) {
+  if (cq.fn == AggFn::kPercentage) {
     double num = lookup_count(key.data());
+    // The denominator drops the predicates on the percentage column.
     std::array<int16_t, CubeResult::kMaxDims> den_key = key;
-    if (!query.is_star()) {
-      for (size_t p = 0; p < np.preds.size() && p < pred_dim.size(); ++p) {
-        if (np.preds[p].column == query.agg_column && pred_dim[p] >= 0) {
+    if (!interner_.column(cq.agg_column).column.empty()) {
+      for (size_t p = 0; p < cq.preds.size() && p < pred_dim.size(); ++p) {
+        if (interner_.predicate(cq.preds[p]).column == cq.agg_column &&
+            pred_dim[p] >= 0) {
           den_key[static_cast<size_t>(pred_dim[p])] = kAllBucket;
         }
       }
@@ -450,11 +438,11 @@ std::optional<double> EvalEngine::AnswerFromCube(
     if (den == 0.0) return std::nullopt;
     return num * 100.0 / den;
   }
-  if (query.fn == AggFn::kConditionalProbability) {
+  if (cq.fn == AggFn::kConditionalProbability) {
     double num = lookup_count(key.data());
     std::array<int16_t, CubeResult::kMaxDims> den_key;
     den_key.fill(kAllBucket);
-    if (!np.preds.empty() && pred_dim[0] >= 0) {
+    if (!cq.preds.empty() && pred_dim[0] >= 0) {
       den_key[static_cast<size_t>(pred_dim[0])] =
           key[static_cast<size_t>(pred_dim[0])];
     }
@@ -550,30 +538,132 @@ void EvalEngine::ExecuteJobs(std::vector<CubeJob>& jobs) {
   stats_.execute_seconds += execute_timer.ElapsedSeconds();
 }
 
+EvalEngine::ResolvedColumn EvalEngine::Resolve(QueryInterner::Id column_id) {
+  // Resolved in id order, the order the interner hands columns out in.
+  while (resolved_columns_.size() <= column_id) {
+    const ColumnRef& ref =
+        interner_.column(static_cast<QueryInterner::Id>(
+            resolved_columns_.size()));
+    const Table* table = db_->FindTable(ref.table);
+    resolved_columns_.push_back(ResolvedColumn{
+        table, table != nullptr ? table->FindColumn(ref.column) : nullptr});
+  }
+  return resolved_columns_[column_id];
+}
+
+const EvalEngine::TableSet& EvalEngine::EnsureTableSet(
+    QueryInterner::Id agg_column,
+    const std::vector<QueryInterner::Id>& pred_ids) {
+  // Visits the columns whose tables SimpleAggregateQuery::ReferencedTables
+  // names: the aggregation column ("*" included) and every predicate's,
+  // those with an empty table name skipped.
+  auto for_each_column = [&](const auto& visit) {
+    auto named = [&](QueryInterner::Id column_id) {
+      if (!interner_.column(column_id).table.empty()) visit(column_id);
+    };
+    named(agg_column);
+    for (QueryInterner::Id pid : pred_ids) {
+      named(interner_.predicate(pid).column);
+    }
+  };
+  table_key_.clear();
+  for_each_column([&](QueryInterner::Id column_id) {
+    table_key_.push_back(Resolve(column_id).table);
+  });
+  std::sort(table_key_.begin(), table_key_.end());
+  table_key_.erase(std::unique(table_key_.begin(), table_key_.end()),
+                   table_key_.end());
+  auto [it, inserted] = table_sets_.try_emplace(table_key_);
+  if (inserted) {
+    // Every query on one set of tables joins them alike, so the first
+    // query's table names decide for all (a null key entry, an unknown
+    // table, fails whatever name it stands for). Callers have checked the
+    // query's columns, so a valid set makes this query valid, and its
+    // relation is interned where the first valid query needs it.
+    std::vector<std::string> tables;
+    for_each_column([&](QueryInterner::Id column_id) {
+      tables.push_back(interner_.column(column_id).table);
+    });
+    it->second.valid = CheckQueryRelation(*db_, tables).ok();
+    if (it->second.valid) {
+      it->second.relation = interner_.InternTableSet(tables);
+    }
+  }
+  return it->second;
+}
+
 const EvalEngine::CompiledQuery& EvalEngine::EnsureCompiled(
     QueryInterner::Id id) {
   if (compiled_.size() <= id) compiled_.resize(id + 1);
   CompiledQuery& cq = compiled_[id];
   if (cq.compiled) return cq;
   cq.compiled = true;
-  const SimpleAggregateQuery& q = interner_.Materialize(id);
-  cq.valid = executor_.Validate(q).ok();
-  if (!cq.valid) return cq;
-  cq.normalized = Normalize(q.predicates);
-  cq.dims.reserve(cq.normalized.preds.size());
-  for (const Predicate& p : cq.normalized.preds) cq.dims.push_back(p.column);
-  std::sort(cq.dims.begin(), cq.dims.end());
+  const QueryInterner::QueryParts& parts = interner_.query_parts(id);
+  const std::vector<QueryInterner::Id>& pred_ids =
+      interner_.pred_list(parts.predlist);
+  cq.fn = parts.fn;
+  cq.agg_column = parts.agg_column;
+
+  // Validity: QueryExecutor::Validate's rules over columns resolved once.
+  const ColumnRef& agg_ref = interner_.column(parts.agg_column);
+  const ColumnRef* unknown_predicate = nullptr;
+  for (QueryInterner::Id pid : pred_ids) {
+    const QueryInterner::Id column_id = interner_.predicate(pid).column;
+    if (Resolve(column_id).column == nullptr) {
+      unknown_predicate = &interner_.column(column_id);
+      break;
+    }
+  }
+  const Column* agg =
+      agg_ref.column.empty() ? nullptr : Resolve(parts.agg_column).column;
+  if (!CheckQueryColumns(parts.fn, agg_ref, agg, pred_ids.size(),
+                         unknown_predicate)
+           .ok()) {
+    return cq;
+  }
+  const TableSet& tables = EnsureTableSet(parts.agg_column, pred_ids);
+  if (!tables.valid) return cq;
+  cq.valid = true;
+  cq.relation = tables.relation;
+
+  // Normalize: keep the first predicate per column; a later one on the
+  // same column with a different value makes the conjunction
+  // unsatisfiable. Column ids are column identity; values compare by
+  // Value::operator==.
+  for (QueryInterner::Id pid : pred_ids) {
+    const QueryInterner::PredicateParts& p = interner_.predicate(pid);
+    bool duplicate = false;
+    for (QueryInterner::Id kept : cq.preds) {
+      const QueryInterner::PredicateParts& q = interner_.predicate(kept);
+      if (q.column == p.column) {
+        duplicate = true;
+        if (!(interner_.value(q.value) == interner_.value(p.value))) {
+          cq.unsatisfiable = true;
+        }
+        break;
+      }
+    }
+    if (!duplicate) cq.preds.push_back(pid);
+  }
+
+  // Group identity: the relation (above), the normalized predicate columns
+  // sorted by name, and the base aggregate, each interned for valid
+  // queries only.
   std::vector<QueryInterner::Id> dim_ids;
-  dim_ids.reserve(cq.dims.size());
-  for (const ColumnRef& d : cq.dims) dim_ids.push_back(interner_.InternColumn(d));
+  dim_ids.reserve(cq.preds.size());
+  for (QueryInterner::Id pid : cq.preds) {
+    dim_ids.push_back(interner_.predicate(pid).column);
+  }
+  std::sort(dim_ids.begin(), dim_ids.end(),
+            [&](QueryInterner::Id a, QueryInterner::Id b) {
+              return interner_.column(a) < interner_.column(b);
+            });
   cq.dimset = interner_.InternDimSet(dim_ids);
-  cq.relation = interner_.InternTableSet(q.ReferencedTables());
-  AggFn base_fn = (q.fn == AggFn::kPercentage ||
-                   q.fn == AggFn::kConditionalProbability)
+  AggFn base_fn = (parts.fn == AggFn::kPercentage ||
+                   parts.fn == AggFn::kConditionalProbability)
                       ? AggFn::kCount
-                      : q.fn;
-  cq.agg = interner_.InternAggregate(base_fn,
-                                     interner_.InternColumn(q.agg_column));
+                      : parts.fn;
+  cq.agg = interner_.InternAggregate(base_fn, parts.agg_column);
   return cq;
 }
 
@@ -586,10 +676,12 @@ const EvalEngine::GroupPlan& EvalEngine::EnsureGroupPlan(
     return it->second;
   }
   GroupPlan plan;
-  plan.dims = cq.dims;
-  plan.dim_columns.reserve(plan.dims.size());
-  for (const ColumnRef& d : plan.dims) {
-    plan.dim_columns.push_back(db_->FindColumn(d));
+  const std::vector<QueryInterner::Id>& dim_ids = interner_.dim_set(cq.dimset);
+  plan.dims.reserve(dim_ids.size());
+  plan.dim_columns.reserve(dim_ids.size());
+  for (QueryInterner::Id column_id : dim_ids) {
+    plan.dims.push_back(interner_.column(column_id));
+    plan.dim_columns.push_back(Resolve(column_id).column);
   }
   plan.relation = cq.relation;
   plan.dimset = cq.dimset;
@@ -689,7 +781,7 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
   batch_cols_.clear();
   for (QueryInterner::Id id : ids) {
     for (QueryInterner::Id pid :
-         interner_.pred_list(interner_.query_pred_list(id))) {
+         interner_.pred_list(interner_.query_parts(id).predlist)) {
       if (pred_epoch_[pid] == batch_epoch_) continue;
       pred_epoch_[pid] = batch_epoch_;
       const auto& parts = interner_.predicate(pid);
@@ -726,7 +818,7 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
       results[i] = std::nullopt;
       continue;
     }
-    if (cq.normalized.unsatisfiable) {
+    if (cq.unsatisfiable) {
       // Rare degenerate case: fall back to the reference executor so all
       // strategies agree on semantics.
       auto r = executor_.Execute(interner_.Materialize(ids[i]), &serial_scan,
@@ -836,7 +928,7 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
         // Pre-warm what the vectorized kernels read: the flat typed view of
         // the aggregate column, and the dictionary for CountDistinct.
         if (!ca.is_star()) {
-          if (const Column* col = db_->FindColumn(ca.column)) {
+          if (const Column* col = Resolve(parts.column).column) {
             (void)col->Flat();
             if (ca.fn == AggFn::kCountDistinct) (void)col->Codes();
           }
@@ -923,8 +1015,7 @@ std::vector<std::optional<double>> EvalEngine::EvaluateMergedIds(
         results[qi] = std::nullopt;
         continue;
       }
-      results[qi] = AnswerFromCube(interner_.Materialize(ids[qi]),
-                                   cq.normalized, *src.cube, src.agg_idx);
+      results[qi] = AnswerFromCube(cq, *src.cube, src.agg_idx);
     }
   }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <deque>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -233,14 +234,6 @@ class EvalEngine {
     size_t agg_idx;
   };
 
-  /// Normalized predicates: deduplicated, with a flag when the conjunction
-  /// is unsatisfiable (same column constrained to two different values).
-  struct NormalizedPreds {
-    std::vector<Predicate> preds;
-    bool unsatisfiable = false;
-  };
-  static NormalizedPreds Normalize(const std::vector<Predicate>& preds);
-
   /// Slice identity: which (aggregate, relation, dimension-set) a cached
   /// cube slice answers, as interned ids.
   struct SliceKey {
@@ -263,17 +256,36 @@ class EvalEngine {
   };
 
   /// Per-query compilation cached across batches (indexed by interned query
-  /// id): validity, normalized predicates, sorted dimension columns, and the
-  /// interned ids planning groups by. Built once per distinct candidate for
-  /// the lifetime of the engine instead of once per batch.
+  /// id), built from the interner's parts once per distinct candidate for
+  /// the lifetime of the engine: validity, the function and aggregation
+  /// column the answer phase reads, normalized predicates, and the interned
+  /// ids planning groups by.
   struct CompiledQuery {
     bool compiled = false;
     bool valid = false;
-    NormalizedPreds normalized;
-    std::vector<ColumnRef> dims;  ///< normalized pred columns, sorted
+    /// Two predicates constrain one column to different values.
+    bool unsatisfiable = false;
+    AggFn fn = AggFn::kCount;
+    QueryInterner::Id agg_column = QueryInterner::kNone;  ///< "*" included
+    /// Predicate ids in query order, the first per column kept.
+    std::vector<QueryInterner::Id> preds;
     QueryInterner::Id agg = QueryInterner::kNone;  ///< base-fn aggregate id
     QueryInterner::Id relation = QueryInterner::kNone;
     QueryInterner::Id dimset = QueryInterner::kNone;
+  };
+
+  /// An interned column resolved against the schema, once per engine.
+  struct ResolvedColumn {
+    const Table* table = nullptr;    ///< null: no such table
+    const Column* column = nullptr;  ///< null: no such column
+  };
+
+  /// One set of referenced tables: CheckQueryRelation's verdict and, for a
+  /// valid set, its interned relation id, both taken when a query with
+  /// valid columns first references the set.
+  struct TableSet {
+    bool valid = false;
+    QueryInterner::Id relation = QueryInterner::kNone;
   };
 
   /// Cached plan of one (relation, dimension-set) cube group: everything
@@ -326,9 +338,19 @@ class EvalEngine {
   void RecoverBatch(const std::vector<QueryInterner::Id>& ids,
                     std::vector<std::optional<double>>& results);
 
-  /// Compiles query `id` (validity, normalization, group ids) if not yet
-  /// cached and returns the compilation.
+  /// Compiles query `id` (validity, normalization, group ids) from its
+  /// interned parts if not yet cached and returns the compilation.
   const CompiledQuery& EnsureCompiled(QueryInterner::Id id);
+
+  /// Interned column `column_id` resolved against the schema (cached).
+  ResolvedColumn Resolve(QueryInterner::Id column_id);
+
+  /// The referenced-table set of a query with aggregation column
+  /// `agg_column` and predicates `pred_ids` (cached per set of tables).
+  /// Call only for queries that pass CheckQueryColumns.
+  const TableSet& EnsureTableSet(
+      QueryInterner::Id agg_column,
+      const std::vector<QueryInterner::Id>& pred_ids);
 
   /// Returns the cached plan of group (cq.relation, cq.dimset), building it
   /// from `cq` on first sight (counted in EvalStats::plans_built; hits in
@@ -343,10 +365,9 @@ class EvalEngine {
   /// inline (in index order) otherwise.
   void RunIndexed(size_t n, const std::function<void(size_t)>& body);
 
-  /// Answers one query from a cube result. `dims` is the cube's dimension
-  /// list; lookups translate missing count cells to 0.
-  std::optional<double> AnswerFromCube(const SimpleAggregateQuery& query,
-                                       const NormalizedPreds& np,
+  /// Answers one compiled query from aggregate `agg_idx` of a cube result;
+  /// lookups translate missing count cells to 0.
+  std::optional<double> AnswerFromCube(const CompiledQuery& cq,
                                        const CubeResult& cube,
                                        size_t agg_idx) const;
 
@@ -380,9 +401,10 @@ class EvalEngine {
   /// one; when tables changed, evicts exactly the cached cube slices whose
   /// relation's join closure reads a changed table (counted in
   /// EvalStats::cache_invalidations) from fp_cache_ / fp_cache_order_.
-  /// Plans (group_plans_), compilations (compiled_), and the interner
-  /// survive: they hold no result data, and their bound Column pointers
-  /// stay valid because ingestion mutates columns in place.
+  /// Plans (group_plans_), compilations (compiled_), resolved columns and
+  /// table sets, and the interner survive: they hold no result data, and
+  /// their bound Table and Column pointers stay valid because ingestion
+  /// mutates columns in place.
   void RefreshDataVersions();
 
   /// \brief Charge replay for a cross-run cache hit (DESIGN.md §16).
@@ -432,6 +454,12 @@ class EvalEngine {
   /// Indexed by interned query id (ids are dense). Deque: references stay
   /// stable while new queries compile.
   std::deque<CompiledQuery> compiled_;
+  /// Indexed by interned column id (see Resolve).
+  std::vector<ResolvedColumn> resolved_columns_;
+  /// Keyed by the sorted, distinct tables a query references (null for a
+  /// table the schema lacks); see EnsureTableSet.
+  std::map<std::vector<const Table*>, TableSet> table_sets_;
+  std::vector<const Table*> table_key_;  ///< EnsureTableSet scratch
   /// (relation id << 32 | dimset id) -> plan. Survives batches and EM
   /// iterations; holds no result data, so ClearCache leaves it alone.
   std::unordered_map<uint64_t, GroupPlan> group_plans_;

@@ -58,45 +58,60 @@ Result<std::optional<double>> CountWithPredicates(
 
 }  // namespace
 
-Status QueryExecutor::Validate(const SimpleAggregateQuery& query) const {
-  if (query.is_star()) {
-    if (query.fn != AggFn::kCount && query.fn != AggFn::kPercentage &&
-        query.fn != AggFn::kConditionalProbability) {
-      return Status::InvalidArgument(
-          strings::Format("%s requires an aggregation column",
-                          AggFnName(query.fn)));
+Status CheckQueryColumns(AggFn fn, const ColumnRef& agg_column,
+                         const Column* agg, size_t num_predicates,
+                         const ColumnRef* unknown_predicate) {
+  if (agg_column.column.empty()) {
+    if (fn != AggFn::kCount && fn != AggFn::kPercentage &&
+        fn != AggFn::kConditionalProbability) {
+      return Status::InvalidArgument(strings::Format(
+          "%s requires an aggregation column", AggFnName(fn)));
     }
   } else {
-    const Column* col = db_->FindColumn(query.agg_column);
-    if (col == nullptr) {
+    if (agg == nullptr) {
       return Status::NotFound("unknown aggregation column: " +
-                              query.agg_column.ToString());
+                              agg_column.ToString());
     }
-    if (RequiresNumericColumn(query.fn) && !col->is_numeric()) {
-      return Status::InvalidArgument(
-          strings::Format("%s requires a numeric column, %s is %s",
-                          AggFnName(query.fn),
-                          query.agg_column.ToString().c_str(),
-                          ValueTypeName(col->type())));
+    if (RequiresNumericColumn(fn) && !agg->is_numeric()) {
+      return Status::InvalidArgument(strings::Format(
+          "%s requires a numeric column, %s is %s", AggFnName(fn),
+          agg_column.ToString().c_str(), ValueTypeName(agg->type())));
     }
   }
-  if (query.fn == AggFn::kConditionalProbability && query.predicates.empty()) {
+  if (fn == AggFn::kConditionalProbability && num_predicates == 0) {
     return Status::InvalidArgument(
         "ConditionalProbability requires at least one predicate (condition)");
   }
-  for (const Predicate& p : query.predicates) {
-    if (db_->FindColumn(p.column) == nullptr) {
-      return Status::NotFound("unknown predicate column: " +
-                              p.column.ToString());
-    }
+  if (unknown_predicate != nullptr) {
+    return Status::NotFound("unknown predicate column: " +
+                            unknown_predicate->ToString());
   }
-  auto tables = query.ReferencedTables();
+  return Status::OK();
+}
+
+Status CheckQueryRelation(const Database& db,
+                          const std::vector<std::string>& tables) {
   if (tables.empty()) {
     return Status::InvalidArgument("query references no table");
   }
-  auto plan = db_->JoinPlan(tables);
-  if (!plan.ok()) return plan.status();
-  return Status::OK();
+  auto plan = db.JoinPlan(tables);
+  return plan.ok() ? Status::OK() : plan.status();
+}
+
+Status QueryExecutor::Validate(const SimpleAggregateQuery& query) const {
+  const ColumnRef* unknown_predicate = nullptr;
+  for (const Predicate& p : query.predicates) {
+    if (db_->FindColumn(p.column) == nullptr) {
+      unknown_predicate = &p.column;
+      break;
+    }
+  }
+  Status columns = CheckQueryColumns(
+      query.fn, query.agg_column,
+      query.is_star() ? nullptr : db_->FindColumn(query.agg_column),
+      query.predicates.size(), unknown_predicate);
+  if (!columns.ok()) return columns;
+  return CheckQueryRelation(*db_, query.ReferencedTables());
 }
 
 Result<std::optional<double>> QueryExecutor::Execute(

@@ -1,6 +1,8 @@
 #pragma once
 
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "db/database.h"
 #include "db/query.h"
@@ -23,6 +25,27 @@ struct ScanStats {
   size_t join_cache_hits = 0;
   double join_seconds = 0.0;
 };
+
+/// \brief The schema rules a Simple Aggregate Query must meet, over its parts
+/// already resolved against the database. The one copy of the rules:
+/// QueryExecutor::Validate resolves a materialized query by name, and
+/// EvalEngine resolves each interned column and table set once; both apply
+/// CheckQueryColumns, then CheckQueryRelation.
+///
+/// The column rules: "*" aggregates only under Count, Percentage and
+/// ConditionalProbability; a named aggregation column must exist (`agg`,
+/// null when unknown; unread for "*") and be numeric under Sum, Avg, Min
+/// and Max; ConditionalProbability needs a predicate (its condition); and
+/// every predicate column must exist (`unknown_predicate` is the first one
+/// that does not, or null).
+Status CheckQueryColumns(AggFn fn, const ColumnRef& agg_column,
+                         const Column* agg, size_t num_predicates,
+                         const ColumnRef* unknown_predicate);
+
+/// The relation rule: the referenced tables (SimpleAggregateQuery::
+/// ReferencedTables) are not empty, and the join graph connects them.
+Status CheckQueryRelation(const Database& db,
+                          const std::vector<std::string>& tables);
 
 /// \brief Reference single-query executor (the "naive" strategy of Table 6).
 ///
@@ -53,7 +76,9 @@ class QueryExecutor {
       const ResourceGovernor* governor = nullptr,
       RelationCache* relation_cache = nullptr) const;
 
-  /// Validates a query against the schema without executing it.
+  /// Validates a query against the schema without executing it: resolves
+  /// its columns by name and applies CheckQueryColumns and
+  /// CheckQueryRelation.
   Status Validate(const SimpleAggregateQuery& query) const;
 
  private:

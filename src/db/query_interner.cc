@@ -103,9 +103,7 @@ QueryInterner::Id QueryInterner::InternCandidate(AggFn fn, Id agg_column_id,
   if (it != query_index_.end()) return it->second;
   Id id = static_cast<Id>(queries_.size());
   QueryRecord rec;
-  rec.fn = fn;
-  rec.agg_column = agg_column_id;
-  rec.predlist = predlist_id;
+  rec.parts = QueryParts{fn, agg_column_id, predlist_id};
   queries_.push_back(std::move(rec));
   query_index_.emplace(fp, id);
   return id;
@@ -129,9 +127,9 @@ const SimpleAggregateQuery& QueryInterner::Materialize(Id query_id) {
   QueryRecord& rec = queries_[query_id];
   if (!rec.query.has_value()) {
     SimpleAggregateQuery q;
-    q.fn = rec.fn;
-    q.agg_column = columns_[rec.agg_column];
-    const std::vector<Id>& preds = pred_lists_.list(rec.predlist);
+    q.fn = rec.parts.fn;
+    q.agg_column = columns_[rec.parts.agg_column];
+    const std::vector<Id>& preds = pred_lists_.list(rec.parts.predlist);
     q.predicates.reserve(preds.size());
     for (Id pid : preds) {
       const PredicateParts& parts = predicates_[pid];

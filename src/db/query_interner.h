@@ -101,9 +101,15 @@ class QueryInterner {
   const std::vector<Id>& dim_set(Id dimset_id) const {
     return dim_sets_.list(dimset_id);
   }
-  /// The ordered predicate-list id of a query (its raw predicates).
-  Id query_pred_list(Id query_id) const {
-    return queries_[query_id].predlist;
+  /// The parts a query was interned from: function, aggregation column
+  /// and ordered predicate list (its raw predicates).
+  struct QueryParts {
+    AggFn fn = AggFn::kCount;
+    Id agg_column = kNone;
+    Id predlist = kNone;
+  };
+  const QueryParts& query_parts(Id query_id) const {
+    return queries_[query_id].parts;
   }
 
   size_t num_columns() const { return columns_.size(); }
@@ -133,9 +139,7 @@ class QueryInterner {
   };
 
   struct QueryRecord {
-    AggFn fn = AggFn::kCount;
-    Id agg_column = kNone;
-    Id predlist = kNone;
+    QueryParts parts;
     /// Lazily materialized query (or the verbatim first query interned via
     /// InternQuery). std::deque storage keeps references stable.
     std::optional<SimpleAggregateQuery> query;

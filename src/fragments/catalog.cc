@@ -14,23 +14,31 @@ namespace {
 
 using TermWeight = ir::InvertedIndex::TermWeight;
 
-/// Adds the word parts of an identifier (column or table name) at `weight`.
-void AddIdentifierKeywords(const std::string& identifier, double weight,
-                           std::vector<TermWeight>* terms) {
-  for (const std::string& part : ir::WordSplitter::Default().Split(
-           identifier)) {
+/// The index words of an identifier (column or table name): its word parts
+/// (§4.2), without one-letter parts other than digits.
+std::vector<std::string> IdentifierWords(const std::string& identifier) {
+  std::vector<std::string> words;
+  for (std::string& part : ir::WordSplitter::Default().Split(identifier)) {
     if (part.size() < 2 && !strings::IsDigits(part)) continue;
-    terms->push_back({part, weight});
+    words.push_back(std::move(part));
   }
+  return words;
 }
 
-/// Adds free-text keywords (dictionary descriptions, literal values).
-void AddTextKeywords(const std::string& text, double weight,
-                     std::vector<TermWeight>* terms) {
-  for (const std::string& token : ir::Tokenize(text)) {
+/// The index words of free text (dictionary descriptions, literal values):
+/// its tokens, without stop words.
+std::vector<std::string> TextWords(const std::string& text) {
+  std::vector<std::string> words;
+  for (std::string& token : ir::Tokenize(text)) {
     if (ir::IsStopWord(token)) continue;
-    terms->push_back({token, weight});
+    words.push_back(std::move(token));
   }
+  return words;
+}
+
+void AddWords(const std::vector<std::string>& words, double weight,
+              std::vector<TermWeight>* terms) {
+  for (const std::string& word : words) terms->push_back({word, weight});
 }
 
 }  // namespace
@@ -60,20 +68,29 @@ Result<FragmentCatalog> FragmentCatalog::Build(const db::Database& db,
     fn_fragments.push_back(std::move(frag));
   }
 
-  // --- Aggregation-column fragments: every numeric column plus one "*" per
-  // table. Keywords from the column name, table name, and dictionary. ---
+  // --- Aggregation-column fragments (every column plus one "*" per table)
+  // and predicate fragments (one per column and distinct literal). Each
+  // table and column name is split into words once and its words go into
+  // every document that names it; the two kinds of documents go into
+  // separate indexes, so filling both in one pass keeps each index's
+  // document order. ---
   auto& col_fragments =
       catalog.fragments_[static_cast<size_t>(FragmentType::kAggColumn)];
   auto& col_index =
       catalog.indexes_[static_cast<size_t>(FragmentType::kAggColumn)];
+  auto& pred_fragments =
+      catalog.fragments_[static_cast<size_t>(FragmentType::kPredicate)];
+  auto& pred_index =
+      catalog.indexes_[static_cast<size_t>(FragmentType::kPredicate)];
   for (size_t t = 0; t < db.num_tables(); ++t) {
     const db::Table& table = db.table(t);
+    const std::vector<std::string> table_words = IdentifierWords(table.name());
     {
       QueryFragment star;
       star.type = FragmentType::kAggColumn;
       star.column = db::ColumnRef{table.name(), ""};
       std::vector<TermWeight> terms;
-      AddIdentifierKeywords(table.name(), 1.0, &terms);
+      AddWords(table_words, 1.0, &terms);
       // Generic row-count vocabulary so "*" is reachable from count-ish
       // phrasings without a named column.
       for (const char* kw : {"rows", "entries", "records", "cases"}) {
@@ -84,51 +101,43 @@ Result<FragmentCatalog> FragmentCatalog::Build(const db::Database& db,
     }
     for (size_t c = 0; c < table.num_columns(); ++c) {
       const db::Column& column = table.column(c);
-      QueryFragment frag;
-      frag.type = FragmentType::kAggColumn;
-      frag.column = db::ColumnRef{table.name(), column.name()};
-      std::vector<TermWeight> terms;
-      AddIdentifierKeywords(column.name(), 1.0, &terms);
-      AddIdentifierKeywords(table.name(), 0.4, &terms);
-      if (options.dictionary != nullptr) {
-        AddTextKeywords(options.dictionary->Lookup(frag.column), 0.8, &terms);
-      }
+      const db::ColumnRef col_ref{table.name(), column.name()};
+      const std::vector<std::string> column_words =
+          IdentifierWords(column.name());
+      const std::vector<std::string> description_words =
+          options.dictionary != nullptr
+              ? TextWords(options.dictionary->Lookup(col_ref))
+              : std::vector<std::string>{};
+
       // Non-numeric columns are still valid aggregation targets for
       // CountDistinct / Percentage; numeric ones additionally for
       // Sum/Avg/Min/Max. The model's validator rejects bad pairings.
+      QueryFragment frag;
+      frag.type = FragmentType::kAggColumn;
+      frag.column = col_ref;
+      std::vector<TermWeight> terms;
+      AddWords(column_words, 1.0, &terms);
+      AddWords(table_words, 0.4, &terms);
+      AddWords(description_words, 0.8, &terms);
       col_index.AddDocument(terms);
       col_fragments.push_back(std::move(frag));
-    }
-  }
 
-  // --- Predicate fragments: one per (column, distinct literal). ---
-  auto& pred_fragments =
-      catalog.fragments_[static_cast<size_t>(FragmentType::kPredicate)];
-  auto& pred_index =
-      catalog.indexes_[static_cast<size_t>(FragmentType::kPredicate)];
-  for (size_t t = 0; t < db.num_tables(); ++t) {
-    const db::Table& table = db.table(t);
-    for (size_t c = 0; c < table.num_columns(); ++c) {
-      const db::Column& column = table.column(c);
-      db::ColumnRef col_ref{table.name(), column.name()};
       const auto& distinct = column.DistinctValues();
       size_t limit = std::min(distinct.size(),
                               options.max_literals_per_column);
       if (limit > 0) catalog.predicate_columns_.push_back(col_ref);
       for (size_t v = 0; v < limit; ++v) {
-        QueryFragment frag;
-        frag.type = FragmentType::kPredicate;
-        frag.column = col_ref;
-        frag.value = distinct[v];
-        std::vector<TermWeight> terms;
-        AddTextKeywords(distinct[v].ToString(), 1.0, &terms);
-        AddIdentifierKeywords(column.name(), 0.6, &terms);
-        AddIdentifierKeywords(table.name(), 0.2, &terms);
-        if (options.dictionary != nullptr) {
-          AddTextKeywords(options.dictionary->Lookup(col_ref), 0.5, &terms);
-        }
+        QueryFragment pred;
+        pred.type = FragmentType::kPredicate;
+        pred.column = col_ref;
+        pred.value = distinct[v];
+        terms.clear();
+        AddWords(TextWords(distinct[v].ToString()), 1.0, &terms);
+        AddWords(column_words, 0.6, &terms);
+        AddWords(table_words, 0.2, &terms);
+        AddWords(description_words, 0.5, &terms);
         pred_index.AddDocument(terms);
-        pred_fragments.push_back(std::move(frag));
+        pred_fragments.push_back(std::move(pred));
       }
     }
   }

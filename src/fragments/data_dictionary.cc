@@ -20,7 +20,9 @@ const std::string& DataDictionary::Lookup(const db::ColumnRef& column) const {
   auto it = entries_.find(KeyOf(column));
   if (it != entries_.end()) return it->second;
   // Fall back to a table-agnostic entry.
-  it = entries_.find("." + strings::ToLower(column.column));
+  std::string any_table = ".";
+  any_table += strings::ToLower(column.column);
+  it = entries_.find(any_table);
   return it == entries_.end() ? empty_ : it->second;
 }
 

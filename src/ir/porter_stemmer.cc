@@ -92,8 +92,7 @@ class Stemmer {
 
   /// Replaces `suffix` (must match) with `repl`.
   void Replace(std::string_view suffix, std::string_view repl) {
-    b_.resize(b_.size() - suffix.size());
-    b_.append(repl);
+    b_.replace(b_.size() - suffix.size(), suffix.size(), repl);
   }
 
   /// If the word ends with `suffix` and the remaining stem has measure > m,

@@ -17,15 +17,15 @@ namespace ir {
 /// Unsplittable residue is kept as-is so exotic abbreviations still index.
 class WordSplitter {
  public:
-  /// Shared splitter with the built-in dictionary.
+  /// Shared splitter with the built-in dictionary, the only one there is.
   static const WordSplitter& Default();
-
-  WordSplitter() = default;
 
   /// Splits an identifier into lower-cased word parts.
   std::vector<std::string> Split(const std::string& identifier) const;
 
  private:
+  WordSplitter() = default;
+
   void AddWord(const std::string& word);
   bool Contains(const std::string& word) const;
 

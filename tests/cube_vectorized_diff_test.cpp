@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -17,6 +18,7 @@
 
 #include "util/resource_governor.h"
 #include "util/rng.h"
+#include "util/strings.h"
 #include "util/thread_pool.h"
 
 namespace aggchecker {
@@ -69,9 +71,8 @@ Database MakeRandomDatabase(Rng& rng, size_t rows, size_t dim_card,
     if (rng.NextBool(0.25)) {
       row.emplace_back();
     } else {
-      row.emplace_back(
-          "s" + std::to_string(rng.NextBounded(static_cast<uint64_t>(
-                    dim_card))));
+      row.emplace_back(strings::Format(
+          "s%" PRIu64, rng.NextBounded(static_cast<uint64_t>(dim_card))));
     }
     // Long dimension, occasionally NULL.
     if (rng.NextBool(0.1)) {

@@ -241,7 +241,7 @@ TEST(ColumnConcurrencyTest, SnapshotColumnFlatReadersThenAppendDetaches) {
       doubles[r] = static_cast<double>(r % 101);
       codes[r] = static_cast<int32_t>(r % 101);
     }
-    for (int64_t v = 0; v < 101; ++v) data.distinct.push_back(Value(v));
+    for (int64_t v = 0; v < 101; ++v) data.distinct.emplace_back(v);
     data.rows = kRows;
     data.nulls = nulls.data();
     data.tags = tags.data();

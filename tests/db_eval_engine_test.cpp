@@ -5,6 +5,7 @@
 #include "db/relation_cache.h"
 #include "test_fixtures.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace aggchecker {
 namespace db {
@@ -104,14 +105,91 @@ TEST(EvalEngineTest, ClearCacheForcesReexecution) {
 }
 
 TEST(EvalEngineTest, InvalidQueryYieldsNulloptInAllStrategies) {
-  auto database = MakeNflDatabase();
-  SimpleAggregateQuery bad;
-  bad.fn = AggFn::kSum;
-  bad.agg_column = {"nflsuspensions", "Name"};  // non-numeric
-  for (auto strategy : {EvalStrategy::kNaive, EvalStrategy::kMerged,
-                        EvalStrategy::kMergedCached}) {
-    EvalEngine engine(&database, strategy);
-    EXPECT_FALSE(engine.Evaluate(bad).has_value());
+  // The orders/customers PK-FK pair plus a table no foreign key reaches.
+  auto database = MakeOrdersDatabase();
+  {
+    Table suppliers("suppliers");
+    ASSERT_TRUE(suppliers.AddColumn("name", ValueType::kString).ok());
+    ASSERT_TRUE(suppliers.AddRow({Value("acme")}).ok());
+    ASSERT_TRUE(database.AddTable(std::move(suppliers)).ok());
+  }
+  auto query = [](AggFn fn, ColumnRef agg, std::vector<Predicate> preds) {
+    SimpleAggregateQuery q;
+    q.fn = fn;
+    q.agg_column = std::move(agg);
+    q.predicates = std::move(preds);
+    return q;
+  };
+  const Predicate east{{"customers", "region"}, Value("east")};
+  struct Shape {
+    const char* label;
+    SimpleAggregateQuery query;
+    bool valid;
+  };
+  const std::vector<Shape> shapes = {
+      {"sum over a string column",
+       query(AggFn::kSum, {"customers", "region"}, {}), false},
+      {"unknown aggregation column",
+       query(AggFn::kSum, {"orders", "nosuch"}, {}), false},
+      {"unknown predicate column",
+       CountStar("orders", {{{"orders", "nosuch"}, Value(int64_t{1})}}),
+       false},
+      {"count(*) over an unknown table", CountStar("nosuch"), false},
+      {"avg over *", query(AggFn::kAvg, {"orders", ""}, {}), false},
+      {"conditional probability without a predicate",
+       query(AggFn::kConditionalProbability, {"orders", ""}, {}), false},
+      {"predicates on two tables with no FK path",
+       CountStar("orders", {{{"suppliers", "name"}, Value("acme")}}), false},
+      {"case-variant spelling of a column",
+       query(AggFn::kSum, {"ORDERS", "Amount"},
+             {{{"Customers", "REGION"}, Value("east")}}),
+       true},
+  };
+  // Valid queries the shapes are mixed with in one batch.
+  const std::vector<SimpleAggregateQuery> valid = {
+      CountStar("orders", {east}),
+      query(AggFn::kSum, {"orders", "amount"}, {}),
+      query(AggFn::kPercentage, {"orders", ""}, {east}),
+      query(AggFn::kAvg, {"orders", "amount"},
+            {{{"orders", "customer_id"}, Value(int64_t{1})}}),
+  };
+
+  // Each shape alone, on a fresh engine of every strategy, answers as naive
+  // does: nothing for the invalid shapes, the value for the valid one.
+  for (const Shape& shape : shapes) {
+    EvalEngine naive(&database, EvalStrategy::kNaive);
+    const std::optional<double> expected = naive.Evaluate(shape.query);
+    EXPECT_EQ(expected.has_value(), shape.valid) << shape.label;
+    for (auto strategy : {EvalStrategy::kMerged, EvalStrategy::kMergedCached}) {
+      EvalEngine engine(&database, strategy);
+      EXPECT_EQ(engine.Evaluate(shape.query), expected)
+          << shape.label << " on " << EvalStrategyName(strategy);
+    }
+  }
+
+  // All shapes interleaved with the valid queries in one batch, at 1, 2 and
+  // 8 threads: every strategy returns naive's one-thread answers.
+  std::vector<SimpleAggregateQuery> batch;
+  for (size_t i = 0; i < shapes.size(); ++i) {
+    batch.push_back(valid[i % valid.size()]);
+    batch.push_back(shapes[i].query);
+  }
+  EvalEngine reference(&database, EvalStrategy::kNaive);
+  const auto expected = reference.EvaluateBatch(batch);
+  for (size_t i = 0; i < shapes.size(); ++i) {
+    EXPECT_TRUE(expected[2 * i].has_value());
+    EXPECT_EQ(expected[2 * i + 1].has_value(), shapes[i].valid)
+        << shapes[i].label;
+  }
+  for (size_t threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    for (auto strategy : {EvalStrategy::kNaive, EvalStrategy::kMerged,
+                          EvalStrategy::kMergedCached}) {
+      EvalEngine engine(&database, strategy);
+      if (threads > 1) engine.SetThreadPool(&pool);
+      EXPECT_EQ(engine.EvaluateBatch(batch), expected)
+          << EvalStrategyName(strategy) << " at " << threads << " threads";
+    }
   }
 }
 

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "test_fixtures.h"
 
 namespace aggchecker {
@@ -58,6 +64,50 @@ TEST(CatalogTest, RetrieveColumnBySplitName) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+TEST(CatalogTest, RetrievePredicateBySplitColumnName) {
+  auto database = MakeOrdersDatabase();
+  auto catalog = FragmentCatalog::Build(database);
+  ASSERT_TRUE(catalog.ok());
+  const auto& preds = catalog->fragments(FragmentType::kPredicate);
+  std::vector<int> customer_id_literals;
+  for (size_t i = 0; i < preds.size(); ++i) {
+    if (preds[i].column == db::ColumnRef{"orders", "customer_id"}) {
+      customer_id_literals.push_back(static_cast<int>(i));
+    }
+  }
+  ASSERT_EQ(customer_id_literals.size(), 4u);  // 1, 2, 3 and 9
+
+  // "customer", a word of customer_id's split name, retrieves exactly that
+  // column's literals first, and their one-word literals score equally.
+  auto hits = catalog->Retrieve(FragmentType::kPredicate,
+                                {{"customer", 1.0}}, preds.size());
+  ASSERT_GT(hits.size(), customer_id_literals.size());
+  std::vector<int> top;
+  for (size_t i = 0; i < customer_id_literals.size(); ++i) {
+    top.push_back(hits[i].fragment_index);
+    EXPECT_EQ(hits[i].score, hits[0].score) << "hit " << i;
+  }
+  std::sort(top.begin(), top.end());
+  EXPECT_EQ(top, customer_id_literals);
+  EXPECT_LT(hits[customer_id_literals.size()].score, hits[0].score);
+
+  // Each literal document holds its column's words at 0.6 and its table's
+  // at 0.2, once each: a posting's weight is 1 + ln(summed weight), or the
+  // weight itself where that is not positive.
+  const double column_weight = 1.0 + std::log(0.6);
+  const double table_weight = 0.2;
+  std::map<std::string, std::map<int, double>> postings;
+  for (const auto& tp : catalog->index(FragmentType::kPredicate)
+                            .ExportPostings()) {
+    for (const auto& p : tp.postings) postings[tp.term][p.doc_id] = p.weight;
+  }
+  for (int doc : customer_id_literals) {
+    EXPECT_EQ(postings["custom"][doc], column_weight) << "doc " << doc;
+    EXPECT_EQ(postings["id"][doc], column_weight) << "doc " << doc;
+    EXPECT_EQ(postings["order"][doc], table_weight) << "doc " << doc;
+  }
 }
 
 TEST(CatalogTest, RetrieveFunctionByCueWord) {

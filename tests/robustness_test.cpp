@@ -8,6 +8,7 @@
 #include "corpus/export.h"
 #include "fragments/catalog.h"
 #include "text/document.h"
+#include "util/strings.h"
 
 namespace aggchecker {
 namespace {
@@ -139,12 +140,12 @@ TEST(RobustnessTest, WideTableManyColumns) {
   db::Database database("wide");
   db::Table t("survey");
   for (int c = 0; c < 60; ++c) {
-    (void)t.AddColumn("q" + std::to_string(c), db::ValueType::kLong);
+    (void)t.AddColumn(strings::Format("q%d", c), db::ValueType::kLong);
   }
   for (int r = 0; r < 20; ++r) {
     std::vector<db::Value> row;
     for (int c = 0; c < 60; ++c) {
-      row.push_back(db::Value(static_cast<int64_t>(r * c % 7)));
+      row.emplace_back(static_cast<int64_t>(r * c % 7));
     }
     (void)t.AddRow(std::move(row));
   }

@@ -2,10 +2,10 @@
 // differential bit-identity contract — a snapshot-loaded checker must
 // produce CheckReports byte-identical to a freshly built one at every
 // thread count and governor budget — and the corruption ladder: a
-// truncated file, a flipped payload byte, and a future-format header each
-// fail with a clean descriptive Status and degrade to a full rebuild, and
-// patched payload bytes behind rewritten checksums fail the reader's
-// structural checks.
+// truncated file, a flipped payload byte, and a future-format or
+// version-4 header each fail with a clean descriptive Status and degrade
+// to a full rebuild, and patched payload bytes behind rewritten checksums
+// fail the reader's structural checks.
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
@@ -300,6 +300,11 @@ TEST(SnapshotTest, CorruptionFallsBackToRebuild) {
   std::string future = pristine;
   const uint32_t version = snapshot::kFormatVersion + 1;
   std::memcpy(&future[8], &version, sizeof(version));
+  // Variant 4: a version-4 header, whose byte-serial checksums this
+  // reader does not compute.
+  std::string v4 = pristine;
+  const uint32_t old_version = 4;
+  std::memcpy(&v4[8], &old_version, sizeof(old_version));
 
   struct Variant {
     const char* label;
@@ -310,6 +315,7 @@ TEST(SnapshotTest, CorruptionFallsBackToRebuild) {
       {"truncated", &truncated, StatusCode::kParseError},
       {"flipped-byte", &flipped, StatusCode::kParseError},
       {"future-version", &future, StatusCode::kUnsupported},
+      {"version-4", &v4, StatusCode::kUnsupported},
   };
   for (const Variant& variant : variants) {
     WriteFile(path, *variant.bytes);
