@@ -30,7 +30,8 @@ int main() {
   options.convergence_tol = 0;  // show every iteration
   model::Translator translator(&c.database, &*catalog, options);
   db::EvalEngine engine(&c.database, db::EvalStrategy::kMergedCached);
-  auto result = translator.Translate(detected, relevance, &engine);
+  auto result = translator.Translate(detected, relevance, &engine,
+                                     /*top_k=*/0);
 
   struct TrackedFragment {
     const char* label;

@@ -7,6 +7,7 @@
 #include "baselines/nalir.h"
 #include "bench_common.h"
 #include "claims/claim_detector.h"
+#include "util/strings.h"
 #include "util/timer.h"
 
 namespace aggchecker {
@@ -89,7 +90,7 @@ int main() {
     options.model.lucene_hits = hits;
     // Deeper retrieval buys a proportionally larger evaluation scope.
     options.model.max_eval_per_claim = 8 * hits;
-    RunVariant("# Hits = " + std::to_string(hits), options,
+    RunVariant(strings::Format("# Hits = %zu", hits), options,
                hits == 20 ? "paper F1=47.9 (current)" : "");
   }
 

@@ -7,35 +7,32 @@ namespace aggchecker {
 namespace core {
 namespace {
 
-/// Assembles per-claim verdicts from a translation result.
+/// Assembles per-claim verdicts from their translations, moving the
+/// reported candidates out, and stamps each with its dependency versions:
+/// the (table, version) pairs ReCheck compares against the live database
+/// to decide splice vs re-check.
 std::vector<ClaimVerdict> AssembleVerdicts(
     const std::vector<claims::Claim>& detected,
-    const model::TranslationResult& translation, size_t top_k) {
-  std::vector<ClaimVerdict> verdicts;
-  verdicts.reserve(detected.size());
+    std::vector<model::ClaimTranslation>& translations,
+    const db::Database& db) {
+  std::vector<ClaimVerdict> verdicts(detected.size());
   for (size_t i = 0; i < detected.size(); ++i) {
-    ClaimVerdict verdict;
+    model::ClaimTranslation& t = translations[i];
+    ClaimVerdict& verdict = verdicts[i];
     verdict.claim = detected[i];
-    const model::ClaimDistribution& dist = translation.distributions[i];
-    verdict.total_candidates = dist.total_candidates;
-    for (const auto& cand : dist.ranked) {
-      if (cand.matches) verdict.correctness_probability += cand.probability;
-    }
-    verdict.partial =
-        i < translation.partial.size() && translation.partial[i];
-    if (i < translation.recovery.size()) {
-      verdict.recovery = translation.recovery[i];
-    }
+    verdict.top_queries = std::move(t.top);
+    verdict.total_candidates = t.total_candidates;
+    verdict.correctness_probability = t.correctness_probability;
+    verdict.partial = t.partial;
+    verdict.recovery = t.recovery;
     // A partial claim is "gave up", never "wrong": the budget ran out
     // before its candidates could be evaluated, so a non-matching (or
     // missing) top candidate is not evidence of an error.
-    verdict.likely_erroneous =
-        !verdict.partial &&
-        (dist.ranked.empty() || !dist.ranked[0].matches);
-    size_t keep = std::min(top_k, dist.ranked.size());
-    verdict.top_queries.assign(dist.ranked.begin(),
-                               dist.ranked.begin() + keep);
-    verdicts.push_back(std::move(verdict));
+    verdict.likely_erroneous = !t.partial && !t.top_matches;
+    verdict.dependencies.reserve(t.dependency_tables.size());
+    for (const std::string& table : t.dependency_tables) {
+      verdict.dependencies.emplace_back(table, db.TableVersion(table));
+    }
   }
   return verdicts;
 }
@@ -128,7 +125,8 @@ Result<CheckReport> AggChecker::CheckDetected(
   // (failed scans are never cached, so re-runs are safe).
   model::Translator translator(db_, catalog_.get(), options_.model);
   auto translate = [&] {
-    return translator.Translate(detected, relevance, engine_.get(), pinned);
+    return translator.Translate(detected, relevance, engine_.get(),
+                                options_.report_top_k, pinned);
   };
   const uint32_t max_attempts =
       engine_->recovery_enabled() ? db::EvalEngine::kMaxAttempts : 1;
@@ -140,21 +138,7 @@ Result<CheckReport> AggChecker::CheckDetected(
   }
   if (!translation.status.ok()) return translation.status;
 
-  report.verdicts =
-      AssembleVerdicts(detected, translation, options_.report_top_k);
-
-  // Stamp each verdict's dependency versions: the (table, version) pairs
-  // ReCheck compares against the live database to decide splice vs re-check.
-  for (size_t i = 0; i < report.verdicts.size() &&
-                     i < translation.dependency_tables.size();
-       ++i) {
-    auto& deps = report.verdicts[i].dependencies;
-    deps.reserve(translation.dependency_tables[i].size());
-    for (const std::string& table : translation.dependency_tables[i]) {
-      deps.emplace_back(table, db_->TableVersion(table));
-    }
-  }
-
+  report.verdicts = AssembleVerdicts(detected, translation.per_claim, *db_);
   report.eval_stats = engine_->stats();
   report.em_iterations = translation.em_iterations;
   report.total_candidates = translation.total_candidates;

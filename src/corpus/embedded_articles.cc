@@ -1,6 +1,7 @@
 #include "corpus/embedded_articles.h"
 
 #include "db/executor.h"
+#include "util/strings.h"
 
 namespace aggchecker {
 namespace corpus {
@@ -237,7 +238,7 @@ CorpusCase MakeDeveloperSurveyCase() {
     bool remote = i >= 700;  // 300 remote rows
     double salary = remote ? 60000.0 : 38000000.0 / 700.0;
     (void)t.AddRow({L(i + 1),
-                    S(("nation-" + std::to_string(i % 40)).c_str()),
+                    S(strings::Format("nation-%d", i % 40).c_str()),
                     S(education), S(occupation), D(salary),
                     S(remote ? "yes" : "no")});
   }

@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "db/relation_cache.h"
+#include "util/strings.h"
 #include "util/timer.h"
 
 namespace aggchecker {
@@ -40,7 +41,7 @@ Status AppendSyntheticRows(db::Database* db, const std::string& table,
             row.push_back(db::Value(static_cast<double>(r)));
             break;
           default:
-            row.push_back(db::Value("row" + std::to_string(r)));
+            row.push_back(db::Value(strings::Format("row%zu", r)));
             break;
         }
         continue;

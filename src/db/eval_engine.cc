@@ -176,14 +176,6 @@ std::optional<double> EvalEngine::Evaluate(const SimpleAggregateQuery& query) {
   return EvaluateBatch({query})[0];
 }
 
-void EvalEngine::RunIndexed(size_t n, const std::function<void(size_t)>& body) {
-  if (pool_ != nullptr && pool_->num_threads() > 1 && n > 1) {
-    pool_->ParallelFor(0, n, body);
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) body(i);
-}
-
 std::vector<std::optional<double>> EvalEngine::EvaluateNaive(
     const std::vector<QueryInterner::Id>& ids) {
   const size_t n = ids.size();
@@ -203,7 +195,7 @@ std::vector<std::optional<double>> EvalEngine::EvaluateNaive(
   };
   std::vector<Slot> slots(n);
   Timer execute_timer;
-  RunIndexed(n, [&](size_t i) {
+  RunIndexed(pool_, n, [&](size_t i) {
     Slot& slot = slots[i];
     if (governor_ != nullptr && governor_->exhausted()) {
       slot.skipped = true;  // budget spent before this query started
@@ -484,7 +476,7 @@ void EvalEngine::ExecuteJobs(std::vector<CubeJob>& jobs) {
   exec_options.mode = cube_exec_;
   exec_options.relation_cache = relation_cache_;
   std::vector<CubeExecution> execs(jobs.size());
-  RunIndexed(jobs.size(), [&](size_t j) {
+  RunIndexed(pool_, jobs.size(), [&](size_t j) {
     CubeJob& job = jobs[j];
     if (governor_ != nullptr) {
       Status trip = governor_->TripStatus();
@@ -510,7 +502,7 @@ void EvalEngine::ExecuteJobs(std::vector<CubeJob>& jobs) {
     }
   }
   std::vector<Status> morsel_status(morsels.size());
-  RunIndexed(morsels.size(), [&](size_t m) {
+  RunIndexed(pool_, morsels.size(), [&](size_t m) {
     if (governor_ != nullptr) {
       Status trip = governor_->TripStatus();
       if (!trip.ok()) {
@@ -530,7 +522,7 @@ void EvalEngine::ExecuteJobs(std::vector<CubeJob>& jobs) {
     }
   }
 
-  RunIndexed(jobs.size(), [&](size_t j) {
+  RunIndexed(pool_, jobs.size(), [&](size_t j) {
     CubeJob& job = jobs[j];
     if (!job.status.ok()) return;  // scans failed; shell stays unfilled
     job.status = execs[j].Finish();

@@ -361,10 +361,6 @@ class EvalEngine {
   /// `jobs`, adding wall time to EvalStats::execute_seconds.
   void ExecuteJobs(std::vector<CubeJob>& jobs);
 
-  /// Runs body(i) for i in [0, n): on the attached pool when present,
-  /// inline (in index order) otherwise.
-  void RunIndexed(size_t n, const std::function<void(size_t)>& body);
-
   /// Answers one compiled query from aggregate `agg_idx` of a cube result;
   /// lookups translate missing count cells to 0.
   std::optional<double> AnswerFromCube(const CompiledQuery& cq,

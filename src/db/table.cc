@@ -101,7 +101,7 @@ Result<Table> Table::FromCsv(std::string name, const csv::CsvData& data) {
     ValueType type = InferColumnType(data, c);
     types.push_back(type);
     std::string col_name = strings::Trim(data.header[c]);
-    if (col_name.empty()) col_name = "col" + std::to_string(c);
+    if (col_name.empty()) col_name = strings::Format("col%zu", c);
     Status s = table.AddColumn(std::move(col_name), type);
     if (!s.ok()) return s;
   }

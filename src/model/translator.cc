@@ -145,7 +145,7 @@ std::vector<ScoredTriple> SelectTop(const CandidateSpace& space,
   return triples;
 }
 
-/// Dependency table set of one claim (TranslationResult::dependency_tables):
+/// Dependency table set of one claim (ClaimTranslation::dependency_tables):
 /// the union of tables referenced by the claim's candidate fragments (agg
 /// columns and predicate columns) plus `extra` (a pinned query's tables),
 /// closed under the join paths connecting them. Closure runs per connected
@@ -202,6 +202,286 @@ std::vector<std::string> DependencyTables(
   return std::vector<std::string>(closure.begin(), closure.end());
 }
 
+/// One claim's working state through the EM loop; its output is the
+/// claim's ClaimTranslation.
+struct ClaimState {
+  /// The user-confirmed query with its outcome, as a point mass.
+  std::optional<RankedCandidate> pinned;
+  std::optional<CandidateSpace> space;
+  /// Encodes candidates to interned ids for the engine; points into `space`.
+  std::optional<CandidateInterner> encoder;
+  std::vector<ScoredTriple> selection;  ///< the latest selection round
+  /// Every candidate ever enqueued, keyed by TripleKey.
+  std::unordered_map<uint64_t, EvalOutcome> outcomes;
+};
+
+/// One Translate call: its inputs, per-claim states and output, and the
+/// stages Translator::Translate runs over them. Per-claim stages (space
+/// build, selection, ranking) fan out over the engine's pool and write only
+/// their own claim's state and record; everything order-sensitive (batch
+/// assembly, counters, priors) stays serial, so the output is bit-identical
+/// for any thread count.
+struct EmRun {
+  const db::Database& db;
+  const fragments::FragmentCatalog& catalog;
+  const ModelOptions& options;
+  const std::vector<claims::Claim>& claims;
+  db::EvalEngine* engine;
+  TranslationResult& result;
+  /// Sized once, with `result.per_claim`: each encoder points into its own
+  /// claim's space.
+  std::vector<ClaimState> states;
+
+  /// Evaluates each pinned query once, up front, as a one-query batch so
+  /// engine failures attribute to its claim. False on a run-level error.
+  bool EvaluatePinned(
+      const std::vector<std::optional<db::SimpleAggregateQuery>>* pinned) {
+    const size_t n = pinned == nullptr ? 0 : pinned->size();
+    for (size_t i = 0; i < std::min(n, states.size()); ++i) {
+      if (!(*pinned)[i].has_value()) continue;
+      RankedCandidate& cand = states[i].pinned.emplace();
+      cand.query = *(*pinned)[i];
+      cand.probability = 1.0;
+      cand.result = engine->Evaluate(cand.query);
+      cand.matches = Matches(i, cand.result);
+      if (!AbsorbFailures([i](size_t) { return i; })) return false;
+    }
+    return true;
+  }
+
+  /// Builds each claim's candidate space over read-only db and catalog
+  /// state (the catalog warmed every column dictionary when it was built),
+  /// its encoder, and its dependency tables.
+  void BuildSpaces(const std::vector<claims::ClaimRelevance>& relevance) {
+    RunIndexed(engine->thread_pool(), states.size(), [&](size_t i) {
+      ClaimState& s = states[i];
+      ClaimTranslation& out = result.per_claim[i];
+      s.space.emplace(
+          CandidateSpace::Build(db, catalog, relevance[i], options));
+      s.encoder.emplace(*s.space, catalog, engine->interner());
+      out.total_candidates = s.space->TotalCandidates();
+      // A pinned query may sit outside the space.
+      out.dependency_tables = DependencyTables(
+          db, *s.space, catalog,
+          s.pinned ? s.pinned->query.ReferencedTables()
+                   : std::vector<std::string>{});
+    });
+    for (const ClaimTranslation& out : result.per_claim) {
+      result.total_candidates += out.total_candidates;
+    }
+  }
+
+  /// E-step, part 1: each unpinned claim's candidates under `priors`.
+  void Select(const Priors& priors) {
+    RunIndexed(engine->thread_pool(), states.size(), [&](size_t i) {
+      ClaimState& s = states[i];
+      if (s.pinned) return;  // fixed translation, nothing to explore
+      s.selection =
+          SelectTop(*s.space, ComputePriorFactors(*s.space, priors, catalog),
+                    options.use_priors, options.max_eval_per_claim);
+    });
+  }
+
+  /// E-step, part 2 (RefineByEval): evaluates every newly selected
+  /// candidate in one batch, so the engine can merge across claims (§6.2).
+  /// False on a run-level error.
+  bool EvaluateSelected() {
+    std::vector<db::QueryInterner::Id> id_batch;
+    std::vector<std::pair<size_t, uint64_t>> batch_owner;
+    for (size_t i = 0; i < states.size(); ++i) {
+      ClaimState& s = states[i];
+      for (const ScoredTriple& t : s.selection) {
+        uint64_t key = TripleKey(t.f, t.c, t.s);
+        // Inserting reserves the triple, so it is never enqueued twice.
+        if (!s.outcomes.try_emplace(key).second) continue;
+        ++result.queries_evaluated;
+        id_batch.push_back(s.encoder->Encode(t.f, t.c, t.s));
+        batch_owner.emplace_back(i, key);
+      }
+    }
+    if (batch_owner.empty()) return true;
+    auto results = engine->EvaluateInterned(id_batch);
+    if (!AbsorbFailures([&](size_t b) {
+          return batch_owner[std::min(b, batch_owner.size() - 1)].first;
+        })) {
+      return false;
+    }
+    for (size_t b = 0; b < batch_owner.size(); ++b) {
+      auto [claim_idx, key] = batch_owner[b];
+      EvalOutcome& outcome = states[claim_idx].outcomes[key];
+      outcome.result = results[b];
+      outcome.matches = Matches(claim_idx, results[b]);
+    }
+    return true;
+  }
+
+  /// M-step: the maximum-likelihood query per claim, then the priors
+  /// re-estimated from them.
+  Priors MStep() {
+    std::vector<db::SimpleAggregateQuery> ml_queries;
+    ml_queries.reserve(states.size());
+    for (size_t i = 0; i < states.size(); ++i) {
+      ClaimState& s = states[i];
+      if (s.pinned) {
+        ml_queries.push_back(s.pinned->query);
+        continue;
+      }
+      // Quarantined claims sit out the maximization: their unevaluated
+      // (nullopt) outcomes would bias the priors toward whatever happened
+      // to fail, poisoning every other claim's translation.
+      if (result.per_claim[i].recovery.quarantined) continue;
+      const ScoredTriple* best = nullptr;
+      double best_post = -1;
+      for (const ScoredTriple& t : s.selection) {
+        const EvalOutcome& o = s.outcomes.at(TripleKey(t.f, t.c, t.s));
+        double post = t.score;
+        if (options.use_eval_results) {
+          post *= o.matches ? options.pT : (1.0 - options.pT);
+        }
+        if (post > best_post) {
+          best_post = post;
+          best = &t;
+        }
+      }
+      if (best != nullptr) {
+        // The interned materialization is content-identical to the space's
+        // (same catalog fragments), so the priors see the same queries.
+        ml_queries.push_back(engine->interner().Materialize(
+            s.encoder->Encode(best->f, best->c, best->s)));
+      }
+    }
+    return Priors::FromMlQueries(ml_queries, catalog);
+  }
+
+  /// Graceful degradation under an exhausted governor: any claim whose
+  /// selected candidates were not all evaluated to a concrete result is
+  /// partial. (A nullopt outcome in an exhausted run is indistinguishable
+  /// from an aborted scan, so the marking is conservative — partial, never
+  /// erroneous.)
+  void MarkPartial() {
+    for (size_t i = 0; i < states.size(); ++i) {
+      const ClaimState& s = states[i];
+      auto evaluated = [&](const ScoredTriple& t) {
+        auto it = s.outcomes.find(TripleKey(t.f, t.c, t.s));
+        return it != s.outcomes.end() && it->second.result.has_value();
+      };
+      const bool complete =
+          s.pinned ? s.pinned->result.has_value()
+                   : !s.selection.empty() &&
+                         std::all_of(s.selection.begin(), s.selection.end(),
+                                     evaluated);
+      if (!complete) result.per_claim[i].partial = true;
+    }
+  }
+
+  /// Ranks each claim's last selection round under the final priors into
+  /// its record, materializing only the `top_k` best candidates.
+  void Rank(const Priors& priors, size_t top_k) {
+    RunIndexed(engine->thread_pool(), states.size(), [&](size_t i) {
+      const ClaimState& s = states[i];
+      ClaimTranslation& out = result.per_claim[i];
+      // A claim counts as recovered only when every one of its failing
+      // queries healed; a later quarantine overrides earlier successes.
+      if (out.recovery.quarantined) out.recovery.recovered = false;
+      if (s.pinned) {
+        out.correctness_probability = s.pinned->matches ? 1.0 : 0.0;
+        out.top_matches = s.pinned->matches;
+        if (top_k > 0) out.top.push_back(*s.pinned);
+        return;
+      }
+      // Posteriors in selection order, normalized by their sum in that
+      // order, so the floating-point results do not depend on threads.
+      PriorFactors factors = ComputePriorFactors(*s.space, priors, catalog);
+      struct Posterior {
+        double probability;
+        const ScoredTriple* triple;
+        const EvalOutcome* outcome;
+      };
+      std::vector<Posterior> ranked;
+      ranked.reserve(s.selection.size());
+      double total = 0;
+      for (const ScoredTriple& t : s.selection) {
+        const EvalOutcome& o = s.outcomes.at(TripleKey(t.f, t.c, t.s));
+        double post = s.space->KeywordScore(t.f, t.c, t.s);
+        if (options.use_priors) post *= factors.of(t.f, t.c, t.s);
+        if (options.use_eval_results) {
+          post *= o.matches ? options.pT : (1.0 - options.pT);
+        }
+        ranked.push_back(Posterior{post, &t, &o});
+        total += post;
+      }
+      if (total > 0) {
+        for (Posterior& p : ranked) p.probability /= total;
+      }
+      // The comparator reads only the probability, so std::sort permutes
+      // these records exactly as it would the full candidates. Not
+      // partial_sort: ties are common, and it would order them differently.
+      std::sort(ranked.begin(), ranked.end(),
+                [](const Posterior& a, const Posterior& b) {
+                  return a.probability > b.probability;
+                });
+      for (const Posterior& p : ranked) {
+        if (p.outcome->matches) out.correctness_probability += p.probability;
+      }
+      out.top_matches = !ranked.empty() && ranked[0].outcome->matches;
+      const size_t keep = std::min(top_k, ranked.size());
+      out.top.reserve(keep);
+      for (size_t r = 0; r < keep; ++r) {
+        const ScoredTriple& t = *ranked[r].triple;
+        out.top.push_back(RankedCandidate{
+            s.space->Materialize(t.f, t.c, t.s, catalog),
+            ranked[r].probability, ranked[r].outcome->result,
+            ranked[r].outcome->matches, s.space->KeywordScore(t.f, t.c, t.s),
+            factors.of(t.f, t.c, t.s)});
+      }
+    });
+  }
+
+  /// Whether a result rounds to claim i's value (an undefined one never
+  /// does).
+  bool Matches(size_t i, const std::optional<double>& value) const {
+    return value.has_value() &&
+           rounding::Matches(*value, claims[i].claimed_value(),
+                             options.rounding_mode,
+                             options.rounding_tolerance);
+  }
+
+  /// Folds the engine's per-query recovery records and surviving failures
+  /// into the owning claims' records; `owner_of` maps a batch index to its
+  /// claim. Returns false only when a hard error has no owning queries to
+  /// quarantine (a run-level fault) — the one case that still aborts.
+  bool AbsorbFailures(const std::function<size_t(size_t)>& owner_of) {
+    for (const auto& rec : engine->ConsumeRecoveryRecords()) {
+      ClaimRecovery& cr =
+          result.per_claim[owner_of(rec.query_index)].recovery;
+      cr.attempts = std::max(cr.attempts, rec.attempts);
+      cr.deepest_rung = std::max(cr.deepest_rung, rec.rung);
+      if (rec.recovered) cr.recovered = true;
+    }
+    std::vector<size_t> failed = engine->ConsumeFailedQueries();
+    Status batch_error = engine->ConsumeHardError();
+    if (!failed.empty()) {
+      // Poison claims: quarantined partials, never erroneous — the run
+      // itself continues.
+      for (size_t b : failed) {
+        ClaimTranslation& out = result.per_claim[owner_of(b)];
+        out.recovery.quarantined = true;
+        out.partial = true;
+      }
+      return true;
+    }
+    if (!batch_error.ok()) {
+      // An unexpected engine error with no query attribution (not
+      // exhaustion, not a malformed candidate) aborts the run: its nullopt
+      // results must not masquerade as "undefined aggregate" and flip
+      // verdicts.
+      result.status = batch_error;
+      return false;
+    }
+    return true;
+  }
+};
+
 }  // namespace
 
 db::QueryInterner::Id CandidateInterner::Encode(size_t f, size_t c, size_t s) {
@@ -236,135 +516,22 @@ db::QueryInterner::Id CandidateInterner::Encode(size_t f, size_t c, size_t s) {
 TranslationResult Translator::Translate(
     const std::vector<claims::Claim>& claims,
     const std::vector<claims::ClaimRelevance>& relevance,
-    db::EvalEngine* engine,
+    db::EvalEngine* engine, size_t top_k,
     const std::vector<std::optional<db::SimpleAggregateQuery>>* pinned) const {
   TranslationResult result;
-  const size_t n = claims.size();
-  result.partial.assign(n, false);
-  result.recovery.assign(n, ClaimRecovery{});
-  if (n == 0) return result;
-
-  // Folds the engine's per-query recovery records and surviving failures
-  // into per-claim state; `owner_of` maps a batch index to its claim.
-  // Returns false only when a hard error has no owning queries to
-  // quarantine (a run-level fault) — the one case that still aborts.
-  auto absorb_engine_failures =
-      [&](db::EvalEngine* eng, const std::function<size_t(size_t)>& owner_of) {
-        for (const auto& rec : eng->ConsumeRecoveryRecords()) {
-          ClaimRecovery& cr = result.recovery[owner_of(rec.query_index)];
-          cr.attempts = std::max(cr.attempts, rec.attempts);
-          cr.deepest_rung = std::max(cr.deepest_rung, rec.rung);
-          if (rec.recovered) cr.recovered = true;
-        }
-        std::vector<size_t> failed = eng->ConsumeFailedQueries();
-        Status batch_error = eng->ConsumeHardError();
-        if (!failed.empty()) {
-          // Poison claims: quarantined partials, never erroneous — the run
-          // itself continues.
-          for (size_t b : failed) {
-            const size_t claim_idx = owner_of(b);
-            result.recovery[claim_idx].quarantined = true;
-            result.partial[claim_idx] = true;
-          }
-          return true;
-        }
-        if (!batch_error.ok()) {
-          // An unexpected engine error with no query attribution (not
-          // exhaustion, not a malformed candidate) aborts the run: its
-          // nullopt results must not masquerade as "undefined aggregate"
-          // and flip verdicts.
-          result.status = batch_error;
-          return false;
-        }
-        return true;
-      };
+  if (claims.empty()) return result;
+  result.per_claim.resize(claims.size());
+  EmRun run{*db_, *catalog_, options_, claims, engine, result,
+            std::vector<ClaimState>(claims.size())};
+  if (!run.EvaluatePinned(pinned)) return result;
+  run.BuildSpaces(relevance);
 
   // Cooperative cancellation: the governor (if any) is scoped to this run
   // by the caller and shared with the evaluation engine.
   const ResourceGovernor* governor = engine->governor();
-
-  // Per-claim work (space construction, candidate selection, final
-  // distributions) spreads over the engine's thread pool. Each parallel
-  // region writes only its own claim's slot; anything order-sensitive
-  // (stats, priors, batch assembly) stays serial, so the output is
-  // bit-identical for any thread count.
-  ThreadPool* pool = engine->thread_pool();
-  auto run_per_claim = [pool](size_t count,
-                              const std::function<void(size_t)>& body) {
-    if (pool != nullptr && pool->num_threads() > 1 && count > 1) {
-      pool->ParallelFor(0, count, body);
-    } else {
-      for (size_t i = 0; i < count; ++i) body(i);
-    }
-  };
-
-  auto is_pinned = [&](size_t i) {
-    return pinned != nullptr && i < pinned->size() && (*pinned)[i].has_value();
-  };
-  // Whether a result rounds to claim i's value (an undefined one never does).
-  auto matches_claim = [&](size_t i, const std::optional<double>& value) {
-    return value.has_value() &&
-           rounding::Matches(*value, claims[i].claimed_value(),
-                             options_.rounding_mode,
-                             options_.rounding_tolerance);
-  };
-  // Evaluate pinned queries once, up front (each a one-query batch, so
-  // engine failures attribute to the pinned claim directly).
-  std::vector<EvalOutcome> pinned_outcomes(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (!is_pinned(i)) continue;
-    auto value = engine->Evaluate(*(*pinned)[i]);
-    pinned_outcomes[i].result = value;
-    pinned_outcomes[i].matches = matches_claim(i, value);
-    if (!absorb_engine_failures(engine, [i](size_t) { return i; })) {
-      return result;
-    }
-  }
-
-  // Build one candidate space per claim (independent per-claim work over
-  // read-only db/catalog state; the catalog warmed every column dictionary
-  // when it was built).
-  std::vector<std::optional<CandidateSpace>> spaces(n);
-  run_per_claim(n, [&](size_t i) {
-    spaces[i].emplace(
-        CandidateSpace::Build(*db_, *catalog_, relevance[i], options_));
-  });
-  for (size_t i = 0; i < n; ++i) {
-    result.total_candidates += spaces[i]->TotalCandidates();
-  }
-
-  // Dependency table sets for incremental re-verification. Pinned claims
-  // add their confirmed query's tables (it may sit outside the space).
-  result.dependency_tables.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    std::vector<std::string> extra;
-    if (is_pinned(i)) extra = (*pinned)[i]->ReferencedTables();
-    result.dependency_tables[i] =
-        DependencyTables(*db_, *spaces[i], *catalog_, extra);
-  }
-
-  // Evaluation outcomes per claim, keyed by candidate triple.
-  std::vector<std::unordered_map<uint64_t, EvalOutcome>> outcomes(n);
-  std::vector<std::vector<ScoredTriple>> selections(n);
-
-  // Candidates ship to the engine as interned query ids, encoded through
-  // per-claim memo tables that persist across iterations. Encoders are
-  // created and used only in serial sections (the interner is not
-  // thread-safe); the parallel final-distributions loop below sticks to
-  // CandidateSpace::Materialize.
-  db::QueryInterner& interner = engine->interner();
-  std::vector<std::optional<CandidateInterner>> encoders(n);
-  auto encoder_for = [&](size_t i) -> CandidateInterner& {
-    if (!encoders[i].has_value()) {
-      encoders[i].emplace(*spaces[i], *catalog_, interner);
-    }
-    return *encoders[i];
-  };
-
   Priors priors = Priors::Uniform(*catalog_);
   if (options_.trace_priors) result.prior_trace.push_back(priors);
   const int max_iters = options_.use_priors ? options_.max_em_iterations : 1;
-
   for (int iter = 0; iter < max_iters; ++iter) {
     Status injected;
     AGG_FAULT_POINT_STATUS("em.iterate", injected);
@@ -373,174 +540,24 @@ TranslationResult Translator::Translate(
       return result;
     }
     // Deadline/budget check between iterations: a tripped governor ends
-    // refinement; whatever was evaluated so far feeds the final
-    // distributions and un-evaluated claims become partial.
+    // refinement; whatever was evaluated so far feeds the ranking and
+    // un-evaluated claims become partial.
     if (governor != nullptr && !governor->CheckPoint().ok()) break;
     ++result.em_iterations;
-
-    // E-step part 1: per-claim candidate selection under current priors.
-    // Claims are independent here (priors are read-only until the M-step),
-    // so the scoring/ranking work fans out per claim.
-    run_per_claim(n, [&](size_t i) {
-      if (is_pinned(i)) {
-        selections[i].clear();  // fixed translation, nothing to explore
-        return;
-      }
-      PriorFactors factors =
-          ComputePriorFactors(*spaces[i], priors, *catalog_);
-      selections[i] = SelectTop(*spaces[i], factors, options_.use_priors,
-                                options_.max_eval_per_claim);
-    });
-
-    // RefineByEval: evaluate all newly selected candidates in one batch so
-    // the engine can merge across claims (§6.2).
-    std::vector<db::QueryInterner::Id> id_batch;
-    std::vector<std::pair<size_t, uint64_t>> batch_owner;
-    for (size_t i = 0; i < n; ++i) {
-      for (const ScoredTriple& t : selections[i]) {
-        uint64_t key = TripleKey(t.f, t.c, t.s);
-        // Inserting reserves the triple, so it is never enqueued twice.
-        if (!outcomes[i].try_emplace(key).second) continue;
-        ++result.queries_evaluated;
-        id_batch.push_back(encoder_for(i).Encode(t.f, t.c, t.s));
-        batch_owner.emplace_back(i, key);
-      }
-    }
-    if (!batch_owner.empty()) {
-      auto results = engine->EvaluateInterned(id_batch);
-      if (!absorb_engine_failures(engine, [&](size_t b) {
-            return batch_owner[std::min(b, batch_owner.size() - 1)].first;
-          })) {
-        return result;
-      }
-      for (size_t b = 0; b < batch_owner.size(); ++b) {
-        auto [claim_idx, key] = batch_owner[b];
-        EvalOutcome& outcome = outcomes[claim_idx][key];
-        outcome.result = results[b];
-        outcome.matches = matches_claim(claim_idx, results[b]);
-      }
-    }
-
+    run.Select(priors);
+    if (!run.EvaluateSelected()) return result;
     // Stop refining once the budget is spent — the M-step would maximize
     // over aborted (nullopt) evaluations and corrupt the priors.
     if (governor != nullptr && governor->exhausted()) break;
-
     if (!options_.use_priors) break;
-
-    // M-step: maximum-likelihood query per claim, then re-estimate priors.
-    std::vector<db::SimpleAggregateQuery> ml_queries;
-    ml_queries.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      if (is_pinned(i)) {
-        ml_queries.push_back(*(*pinned)[i]);
-        continue;
-      }
-      // Quarantined claims sit out the maximization: their unevaluated
-      // (nullopt) outcomes would bias the priors toward whatever happened
-      // to fail, poisoning every other claim's translation.
-      if (result.recovery[i].quarantined) continue;
-      const ScoredTriple* best = nullptr;
-      double best_post = -1;
-      for (const ScoredTriple& t : selections[i]) {
-        const EvalOutcome& o = outcomes[i].at(TripleKey(t.f, t.c, t.s));
-        double post = t.score;
-        if (options_.use_eval_results) {
-          post *= o.matches ? options_.pT : (1.0 - options_.pT);
-        }
-        if (post > best_post) {
-          best_post = post;
-          best = &t;
-        }
-      }
-      if (best != nullptr) {
-        // The interned materialization is content-identical to the space's
-        // (same catalog fragments), so the priors see the same queries.
-        ml_queries.push_back(interner.Materialize(
-            encoder_for(i).Encode(best->f, best->c, best->s)));
-      }
-    }
-    Priors next = Priors::FromMlQueries(ml_queries, *catalog_);
+    Priors next = run.MStep();
     double delta = next.MaxDelta(priors);
-    priors = next;
+    priors = std::move(next);
     if (options_.trace_priors) result.prior_trace.push_back(priors);
     if (delta < options_.convergence_tol) break;
   }
-
-  // Graceful degradation: under an exhausted governor, any claim whose
-  // selected candidates were not all evaluated to a concrete result is
-  // partial. (A nullopt outcome in an exhausted run is indistinguishable
-  // from an aborted scan, so the marking is conservative — partial, never
-  // erroneous.)
-  if (governor != nullptr && governor->exhausted()) {
-    for (size_t i = 0; i < n; ++i) {
-      if (is_pinned(i)) {
-        if (!pinned_outcomes[i].result.has_value()) result.partial[i] = true;
-        continue;
-      }
-      if (selections[i].empty()) {
-        result.partial[i] = true;
-        continue;
-      }
-      for (const ScoredTriple& t : selections[i]) {
-        auto it = outcomes[i].find(TripleKey(t.f, t.c, t.s));
-        if (it == outcomes[i].end() || !it->second.result.has_value()) {
-          result.partial[i] = true;
-          break;
-        }
-      }
-    }
-  }
-
-  // Final distributions from the last selection round. Per-claim and
-  // independent; each claim's posterior sum runs in its own fixed
-  // selection order, so floating-point results do not depend on threads.
-  result.distributions.resize(n);
-  run_per_claim(n, [&](size_t i) {
-    ClaimDistribution& dist = result.distributions[i];
-    dist.total_candidates = spaces[i]->TotalCandidates();
-    if (is_pinned(i)) {
-      // User-confirmed translation: a point mass.
-      RankedCandidate cand;
-      cand.query = *(*pinned)[i];
-      cand.probability = 1.0;
-      cand.result = pinned_outcomes[i].result;
-      cand.matches = pinned_outcomes[i].matches;
-      dist.ranked.push_back(std::move(cand));
-      return;
-    }
-    PriorFactors factors = ComputePriorFactors(*spaces[i], priors, *catalog_);
-    double total = 0;
-    for (const ScoredTriple& t : selections[i]) {
-      const EvalOutcome& o = outcomes[i].at(TripleKey(t.f, t.c, t.s));
-      RankedCandidate cand;
-      cand.query = spaces[i]->Materialize(t.f, t.c, t.s, *catalog_);
-      cand.keyword_score = spaces[i]->KeywordScore(t.f, t.c, t.s);
-      cand.prior = factors.of(t.f, t.c, t.s);
-      cand.result = o.result;
-      cand.matches = o.matches;
-      double post = cand.keyword_score;
-      if (options_.use_priors) post *= cand.prior;
-      if (options_.use_eval_results) {
-        post *= o.matches ? options_.pT : (1.0 - options_.pT);
-      }
-      cand.probability = post;
-      total += post;
-      dist.ranked.push_back(std::move(cand));
-    }
-    if (total > 0) {
-      for (auto& cand : dist.ranked) cand.probability /= total;
-    }
-    std::sort(dist.ranked.begin(), dist.ranked.end(),
-              [](const RankedCandidate& a, const RankedCandidate& b) {
-                return a.probability > b.probability;
-              });
-  });
-
-  // A claim counts as recovered only when every one of its failing queries
-  // healed; a later quarantine overrides earlier successes.
-  for (ClaimRecovery& cr : result.recovery) {
-    if (cr.quarantined) cr.recovered = false;
-  }
+  if (governor != nullptr && governor->exhausted()) run.MarkPartial();
+  run.Rank(priors, top_k);
   return result;
 }
 

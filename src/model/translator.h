@@ -25,17 +25,6 @@ struct RankedCandidate {
   double prior = 0.0;            ///< Pr(Q_c) factor under the final priors
 };
 
-/// \brief Distribution over query candidates for one claim, ranked by
-/// probability (descending).
-struct ClaimDistribution {
-  std::vector<RankedCandidate> ranked;
-  size_t total_candidates = 0;  ///< size of the full candidate space
-
-  const RankedCandidate* top() const {
-    return ranked.empty() ? nullptr : &ranked[0];
-  }
-};
-
 /// \brief One claim's trip through the engine's self-healing layer
 /// (DESIGN.md §13), folded over the recovery records of every candidate
 /// query the claim owned.
@@ -47,9 +36,32 @@ struct ClaimRecovery {
                               ///< claim degrades to a partial verdict
 };
 
+/// \brief One claim's translation: the head of its distribution Q_c
+/// (Definition 3) and what verdict assembly reads of the rest.
+struct ClaimTranslation {
+  /// The most probable candidates, best first: at most the `top_k` passed
+  /// to Translator::Translate, and the only ones materialized.
+  std::vector<RankedCandidate> top;
+  /// Probability mass of all candidates whose result matches the claim.
+  double correctness_probability = 0.0;
+  /// The most probable candidate exists and matches, also when top_k = 0.
+  bool top_matches = false;
+  size_t total_candidates = 0;  ///< size of the full candidate space
+  /// The evaluation budget ran out before the claim's candidates were
+  /// (fully) evaluated: best-effort, never to be flagged erroneous.
+  bool partial = false;
+  ClaimRecovery recovery;  ///< quarantined claims are also partial
+  /// Every base table (lower-cased, sorted, unique) the claim's candidate
+  /// space can read, closed under the join paths connecting them: the
+  /// dependency domain of incremental re-verification (DESIGN.md §16). An
+  /// over-approximation — extra re-checks are sound, missed invalidations
+  /// are not. Empty for claims whose space references no table.
+  std::vector<std::string> dependency_tables;
+};
+
 /// \brief Output of the expectation-maximization translation.
 struct TranslationResult {
-  std::vector<ClaimDistribution> distributions;  ///< one per claim
+  std::vector<ClaimTranslation> per_claim;  ///< one per claim, input order
   int em_iterations = 0;
   size_t total_candidates = 0;   ///< across all claims
   size_t queries_evaluated = 0;  ///< distinct candidate queries executed
@@ -57,29 +69,11 @@ struct TranslationResult {
   /// initialization followed by the priors after each M-step (Table 2).
   std::vector<Priors> prior_trace;
   /// Non-OK when translation aborted on a hard error (e.g. an injected
-  /// fault); distributions are then incomplete and callers must propagate
-  /// the status instead of the result. Governor stops do NOT set this —
-  /// they degrade into per-claim `partial` flags.
+  /// fault) with no owning queries to quarantine; `per_claim` is then
+  /// incomplete and callers must propagate the status instead of the
+  /// result. Governor stops do NOT set this — they degrade into per-claim
+  /// `partial` flags.
   Status status;
-  /// One flag per claim: true when the evaluation budget ran out before the
-  /// claim's candidates were (fully) evaluated. Partial claims keep their
-  /// best-effort distribution but must never be flagged erroneous.
-  std::vector<bool> partial;
-  /// One record per claim. Poison claims — candidates that hard-fail on
-  /// every ladder rung — are quarantined (and marked partial) instead of
-  /// aborting the run, so one bad claim can never starve the batch; see
-  /// ClaimRecovery. `status` above is reserved for run-level failures with
-  /// no owning queries to quarantine.
-  std::vector<ClaimRecovery> recovery;
-  /// One entry per claim: every base table (lower-cased, sorted, unique)
-  /// any of the claim's candidate queries can read, closed under the join
-  /// paths connecting them — intermediate join-path tables included. The
-  /// dependency domain for incremental re-verification (DESIGN.md §16): a
-  /// claim needs re-checking iff some table here changed its data version.
-  /// An over-approximation (the whole candidate space, not just the top
-  /// translation) — extra re-checks are sound, missed invalidations are
-  /// not. Empty for claims whose space references no table.
-  std::vector<std::vector<std::string>> dependency_tables;
 };
 
 /// \brief Per-claim encoder from candidate triples (f, c, s) to interned
@@ -92,7 +86,7 @@ struct TranslationResult {
 /// integer lookup instead of a SimpleAggregateQuery materialization.
 ///
 /// Not thread-safe (it writes memo tables and the shared interner); the
-/// translator only encodes from serial sections (batch assembly, M-step).
+/// translator only encodes from serial stages (batch assembly, M-step).
 class CandidateInterner {
  public:
   CandidateInterner(const CandidateSpace& space,
@@ -131,7 +125,8 @@ class Translator {
       : db_(db), catalog_(catalog), options_(options) {}
 
   /// Translates all claims given their relevance scores. The engine's cache
-  /// persists across EM iterations (and across documents if shared).
+  /// persists across EM iterations (and across documents if shared). Each
+  /// claim's record reports its `top_k` most probable candidates.
   ///
   /// `pinned` (optional, one entry per claim) fixes a claim's translation
   /// to a user-confirmed query: pinned claims contribute their query to the
@@ -142,7 +137,7 @@ class Translator {
   TranslationResult Translate(
       const std::vector<claims::Claim>& claims,
       const std::vector<claims::ClaimRelevance>& relevance,
-      db::EvalEngine* engine,
+      db::EvalEngine* engine, size_t top_k,
       const std::vector<std::optional<db::SimpleAggregateQuery>>* pinned =
           nullptr) const;
 

@@ -109,4 +109,13 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
   if (region.error) std::rethrow_exception(region.error);
 }
 
+void RunIndexed(ThreadPool* pool, size_t n,
+                const std::function<void(size_t)>& body) {
+  if (pool != nullptr && pool->num_threads() > 1 && n > 1) {
+    pool->ParallelFor(0, n, body);
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) body(i);
+}
+
 }  // namespace aggchecker

@@ -20,7 +20,7 @@ namespace aggchecker {
 /// Determinism contract: ParallelFor provides no ordering between iterations;
 /// callers that need bit-identical output across thread counts must write
 /// into pre-sized per-index slots and fold the slots serially afterwards
-/// (see EvalEngine::EvaluateMergedIds and Translator for the pattern).
+/// (see EvalEngine::EvaluateMergedIds for the pattern).
 ///
 /// Exception propagation: if body invocations throw, the exception from the
 /// *lowest* failing index is rethrown on the caller's thread once the range
@@ -76,5 +76,10 @@ class ThreadPool {
   size_t workers_in_region_ = 0;    // workers still inside active_
   bool shutdown_ = false;
 };
+
+/// Runs body(i) for every i in [0, n): on `pool` when it is non-null with
+/// more than one thread and n > 1, otherwise inline in index order.
+void RunIndexed(ThreadPool* pool, size_t n,
+                const std::function<void(size_t)>& body);
 
 }  // namespace aggchecker

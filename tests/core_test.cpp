@@ -150,6 +150,33 @@ TEST(AggCheckerTest, TopQueriesCappedByOption) {
   }
 }
 
+// The flag rule reads the top-1 candidate also when none is reported.
+TEST(AggCheckerTest, ZeroTopKFlagsTheSameClaims) {
+  auto database = MakeNflDatabase();
+  auto doc = text::ParseDocument(kArticleWithError);
+  std::vector<CheckReport> reports;
+  for (size_t top_k : {10u, 0u}) {
+    CheckOptions options;
+    options.report_top_k = top_k;
+    auto checker = AggChecker::Create(&database, options);
+    ASSERT_TRUE(checker.ok());
+    auto report = checker->Check(*doc);
+    ASSERT_TRUE(report.ok());
+    reports.push_back(std::move(*report));
+  }
+  const CheckReport& ten = reports[0];
+  const CheckReport& none = reports[1];
+  EXPECT_EQ(ten.NumFlagged(), 1u);
+  ASSERT_EQ(none.verdicts.size(), ten.verdicts.size());
+  for (size_t i = 0; i < ten.verdicts.size(); ++i) {
+    EXPECT_TRUE(none.verdicts[i].top_queries.empty());
+    EXPECT_EQ(none.verdicts[i].likely_erroneous,
+              ten.verdicts[i].likely_erroneous);
+    EXPECT_EQ(none.verdicts[i].correctness_probability,
+              ten.verdicts[i].correctness_probability);
+  }
+}
+
 TEST(AggCheckerTest, CachePersistsAcrossChecks) {
   auto database = MakeNflDatabase();
   auto checker = AggChecker::Create(&database);

@@ -263,10 +263,8 @@ TEST(CubeVectorizedDiffTest, RandomizedCubesMatchScalarOracleBitExact) {
     Database database = MakeRandomDatabase(rng, rows, dim_card, join_mode);
     CubeSpec spec;
     MakeRandomSpec(rng, database, join_mode, &spec);
-    SCOPED_TRACE("trial " + std::to_string(trial) + " rows=" +
-                 std::to_string(rows) + " card=" +
-                 std::to_string(dim_card) +
-                 (join_mode ? " join" : " single"));
+    SCOPED_TRACE(strings::Format("trial %d rows=%zu card=%zu %s", trial, rows,
+                                 dim_card, join_mode ? "join" : "single"));
 
     ExecOutcome oracle =
         RunCube(database, spec, CubeExecMode::kScalarOracle, nullptr);

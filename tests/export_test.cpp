@@ -9,6 +9,7 @@
 #include "corpus/generator.h"
 #include "db/executor.h"
 #include "test_fixtures.h"
+#include "util/strings.h"
 
 namespace aggchecker {
 namespace corpus {
@@ -20,7 +21,8 @@ class ExportTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = fs::temp_directory_path() /
-           ("aggchecker_export_test_" + std::to_string(::getpid()));
+           strings::Format("aggchecker_export_test_%d",
+                           static_cast<int>(::getpid()));
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "claims/claim_detector.h"
 #include "model/priors.h"
 #include "test_fixtures.h"
@@ -12,6 +14,9 @@ namespace model {
 namespace {
 
 using testing_fixtures::MakeNflDatabase;
+
+/// A top_k that reports every selected candidate of a claim.
+constexpr size_t kAllCandidates = std::numeric_limits<size_t>::max();
 
 constexpr const char* kNflArticle = R"(
 <h1>The NFL's Uneven History Of Punishing Domestic Violence</h1>
@@ -163,30 +168,31 @@ TEST(TranslatorTest, ResolvesPaperExampleClaims) {
   ModelOptions options;
   db::EvalEngine engine(&p.database, db::EvalStrategy::kMergedCached);
   Translator translator(&p.database, p.catalog.get(), options);
-  auto result = translator.Translate(p.detected, p.relevance, &engine);
-  ASSERT_EQ(result.distributions.size(), 3u);  // four, three, one
+  auto result = translator.Translate(p.detected, p.relevance, &engine, 1);
+  ASSERT_EQ(result.per_claim.size(), 3u);  // four, three, one
+  for (const ClaimTranslation& t : result.per_claim) {
+    ASSERT_EQ(t.top.size(), 1u);
+    EXPECT_TRUE(t.top_matches);
+  }
 
   // Claim "four": Count(*) WHERE Games='indef' must be top-1 and match.
   {
-    const auto* top = result.distributions[0].top();
-    ASSERT_NE(top, nullptr);
-    EXPECT_TRUE(top->matches);
-    ASSERT_TRUE(top->result.has_value());
-    EXPECT_DOUBLE_EQ(*top->result, 4.0);
+    const RankedCandidate& top = result.per_claim[0].top[0];
+    EXPECT_TRUE(top.matches);
+    ASSERT_TRUE(top.result.has_value());
+    EXPECT_DOUBLE_EQ(*top.result, 4.0);
   }
   // Claim "three": must find a matching query (result 3).
   {
-    const auto* top = result.distributions[1].top();
-    ASSERT_NE(top, nullptr);
-    EXPECT_TRUE(top->matches) << top->query.ToSql();
+    const RankedCandidate& top = result.per_claim[1].top[0];
+    EXPECT_TRUE(top.matches) << top.query.ToSql();
   }
   // Claim "one": the gambling query (Example 5).
   {
-    const auto* top = result.distributions[2].top();
-    ASSERT_NE(top, nullptr);
-    EXPECT_TRUE(top->matches) << top->query.ToSql();
-    ASSERT_TRUE(top->result.has_value());
-    EXPECT_DOUBLE_EQ(*top->result, 1.0);
+    const RankedCandidate& top = result.per_claim[2].top[0];
+    EXPECT_TRUE(top.matches) << top.query.ToSql();
+    ASSERT_TRUE(top.result.has_value());
+    EXPECT_DOUBLE_EQ(*top.result, 1.0);
   }
   EXPECT_GE(result.em_iterations, 1);
   EXPECT_GT(result.queries_evaluated, 0u);
@@ -198,16 +204,58 @@ TEST(TranslatorTest, DistributionsNormalized) {
   ModelOptions options;
   db::EvalEngine engine(&p.database, db::EvalStrategy::kMergedCached);
   Translator translator(&p.database, p.catalog.get(), options);
-  auto result = translator.Translate(p.detected, p.relevance, &engine);
-  for (const auto& dist : result.distributions) {
+  auto result =
+      translator.Translate(p.detected, p.relevance, &engine, kAllCandidates);
+  for (const ClaimTranslation& t : result.per_claim) {
     double total = 0;
     double prev = 1.0;
-    for (const auto& cand : dist.ranked) {
+    for (const auto& cand : t.top) {
       total += cand.probability;
       EXPECT_LE(cand.probability, prev + 1e-12);  // sorted descending
       prev = cand.probability;
     }
     EXPECT_NEAR(total, 1.0, 1e-6);
+  }
+}
+
+// A bounded top_k reports exactly the head of the unbounded ranking, and
+// everything summed or decided over all candidates stays the same.
+TEST(TranslatorTest, TopKIsHeadOfFullRanking) {
+  Pipeline p;
+  auto translate = [&](size_t top_k) {
+    db::EvalEngine engine(&p.database, db::EvalStrategy::kMergedCached);
+    Translator translator(&p.database, p.catalog.get(), ModelOptions{});
+    return translator.Translate(p.detected, p.relevance, &engine, top_k);
+  };
+  const TranslationResult all = translate(kAllCandidates);
+  ASSERT_EQ(all.per_claim.size(), 3u);
+  for (size_t k : {0u, 1u, 3u}) {
+    const TranslationResult head = translate(k);
+    ASSERT_EQ(head.per_claim.size(), all.per_claim.size());
+    for (size_t i = 0; i < all.per_claim.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "k=" << k << " claim " << i);
+      const ClaimTranslation& full = all.per_claim[i];
+      const ClaimTranslation& cut = head.per_claim[i];
+      ASSERT_FALSE(full.top.empty());
+      ASSERT_GE(full.top.size(), k);
+      ASSERT_EQ(cut.top.size(), k);
+      for (size_t r = 0; r < k; ++r) {
+        const RankedCandidate& a = full.top[r];
+        const RankedCandidate& b = cut.top[r];
+        EXPECT_TRUE(a.query == b.query) << b.query.ToSql();
+        EXPECT_EQ(a.probability, b.probability);
+        EXPECT_EQ(a.result, b.result);
+        EXPECT_EQ(a.matches, b.matches);
+        EXPECT_EQ(a.keyword_score, b.keyword_score);
+        EXPECT_EQ(a.prior, b.prior);
+      }
+      EXPECT_EQ(cut.correctness_probability, full.correctness_probability);
+      EXPECT_EQ(cut.top_matches, full.top_matches);
+      EXPECT_EQ(cut.top_matches, full.top[0].matches);
+      EXPECT_EQ(cut.total_candidates, full.total_candidates);
+      EXPECT_EQ(cut.partial, full.partial);
+      EXPECT_EQ(cut.dependency_tables, full.dependency_tables);
+    }
   }
 }
 
@@ -220,21 +268,17 @@ TEST(TranslatorTest, AblationsDegradeGracefully) {
   sc_only.use_eval_results = false;
   sc_only.use_priors = false;
   Translator t1(&p.database, p.catalog.get(), sc_only);
-  auto r1 = t1.Translate(p.detected, p.relevance, &engine);
+  auto r1 = t1.Translate(p.detected, p.relevance, &engine, 0);
   EXPECT_EQ(r1.em_iterations, 1);
 
   // Full model must do at least as well on top-1 matches.
   ModelOptions full;
   Translator t2(&p.database, p.catalog.get(), full);
-  auto r2 = t2.Translate(p.detected, p.relevance, &engine);
+  auto r2 = t2.Translate(p.detected, p.relevance, &engine, 0);
   int matches1 = 0, matches2 = 0;
-  for (size_t i = 0; i < r1.distributions.size(); ++i) {
-    if (r1.distributions[i].top() && r1.distributions[i].top()->matches) {
-      ++matches1;
-    }
-    if (r2.distributions[i].top() && r2.distributions[i].top()->matches) {
-      ++matches2;
-    }
+  for (size_t i = 0; i < r1.per_claim.size(); ++i) {
+    if (r1.per_claim[i].top_matches) ++matches1;
+    if (r2.per_claim[i].top_matches) ++matches2;
   }
   EXPECT_GE(matches2, matches1);
 }
@@ -243,8 +287,8 @@ TEST(TranslatorTest, EmptyClaimsYieldEmptyResult) {
   Pipeline p;
   db::EvalEngine engine(&p.database, db::EvalStrategy::kMergedCached);
   Translator translator(&p.database, p.catalog.get(), ModelOptions{});
-  auto result = translator.Translate({}, {}, &engine);
-  EXPECT_TRUE(result.distributions.empty());
+  auto result = translator.Translate({}, {}, &engine, kAllCandidates);
+  EXPECT_TRUE(result.per_claim.empty());
   EXPECT_EQ(result.em_iterations, 0);
 }
 

@@ -94,7 +94,7 @@ TEST(RobustnessTest, ClaimDenseDocument) {
   auto database = SingleColumnDb({db::Value(int64_t{7})});
   std::string text;
   for (int i = 0; i < 60; ++i) {
-    text += "Metric number " + std::to_string(100 + i) + " was reported. ";
+    text += strings::Format("Metric number %d was reported. ", 100 + i);
   }
   auto doc = text::ParseDocument(text);
   auto checker = core::AggChecker::Create(&database);

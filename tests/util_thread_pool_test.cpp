@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "util/strings.h"
+
 namespace aggchecker {
 namespace {
 
@@ -96,7 +98,7 @@ TEST(ThreadPoolTest, PropagatesLowestIndexException) {
     try {
       pool.ParallelFor(0, 200, [&](size_t i) {
         if (i == 17 || i == 100 || i == 180) {
-          throw std::runtime_error("boom at " + std::to_string(i));
+          throw std::runtime_error(strings::Format("boom at %zu", i));
         }
       });
       FAIL() << "expected an exception";
